@@ -4,8 +4,13 @@ The benchmarks regenerate every table and figure of the paper's
 evaluation on the scaled synthetic collection (the paper's testbed ran
 single problems for hours; the scaled runs keep the harness
 laptop-sized while preserving the comparisons' *shape*).  Each bench
-writes its rendered artifact into ``benchmarks/results/`` so that
-EXPERIMENTS.md can reference the measured numbers.
+prints its rendered artifact and writes it with :func:`write_result`
+into a ``results`` directory of the pytest session's temporary tree
+(``--basetemp=DIR`` fixes where).  Several artifacts carry wall-clock
+columns, so test runs leave the snapshot committed under
+``benchmarks/results/`` untouched.  To refresh that snapshot, run e.g.
+``PYTHONPATH=src python -m pytest benchmarks --basetemp=/tmp/bench``
+and copy ``/tmp/bench/results0/*`` into ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from repro.datasets.running_example import running_example_log  # noqa: E402
 MAX_TRACES = 50
 MAX_CLASSES = 10
 
-RESULTS_DIR = Path(__file__).parent / "results"
+#: This session's artifact directory, set by the ``results_dir`` fixture.
+_results_dir: Path | None = None
 
 
 def run_once(benchmark, fn, *args, **kwargs):
@@ -41,11 +47,18 @@ def run_once(benchmark, fn, *args, **kwargs):
 
 
 def write_result(name: str, text: str) -> Path:
-    """Persist a rendered benchmark artifact under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / name
+    """Persist a rendered benchmark artifact in this session's results dir."""
+    path = _results_dir / name
     path.write_text(text + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture(scope="session", autouse=True)
+def results_dir(tmp_path_factory) -> Path:
+    """Where :func:`write_result` puts this session's artifacts."""
+    global _results_dir
+    _results_dir = tmp_path_factory.mktemp("results")
+    return _results_dir
 
 
 @pytest.fixture(scope="session")

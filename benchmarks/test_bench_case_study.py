@@ -3,7 +3,8 @@
 Regenerates both figures on the synthetic loan log: the 80/20 DFG of
 the low-level log (Fig. 1 — spaghetti) and the 80/20 DFG after
 origin-constrained abstraction (Fig. 8 — system-pure activities with
-visible inter-system flow).  DOT artifacts land in benchmarks/results/.
+visible inter-system flow).  DOT artifacts land in the pytest session's
+results directory (see ``conftest.write_result``).
 """
 
 from conftest import write_result

@@ -1,8 +1,8 @@
 """Figures 2, 3, 5, 6 and 7: running-example artifacts.
 
 Regenerates every running-example figure of the paper and pins the
-worked numbers (Fig. 7's dist = 3.08).  DOT artifacts land in
-benchmarks/results/.
+worked numbers (Fig. 7's dist = 3.08).  DOT artifacts land in the
+pytest session's results directory (see ``conftest.write_result``).
 """
 
 import pytest

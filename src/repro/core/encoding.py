@@ -34,7 +34,7 @@ the hot path once per log:
   ``Event`` objects — which is what lets the beam search of Algorithm 2
   produce the same candidate sets on either engine.
 * :class:`CompiledDfgOps` mirrors the group-level DFG neighborhood API
-  (``pre`` / ``post`` / ``exclusive`` / ``equal_pre_post``) on class
+  (``pre`` / ``post`` / ``exclusive`` / ``signature``) on class
   bitmasks so Algorithm 3's exclusive-candidate merging shares the
   same encoding.
 
@@ -753,12 +753,12 @@ class CompiledDistanceFunction(DistanceFunction):
 class CompiledDfgOps:
     """Group-level DFG neighborhoods on class bitmasks (Algorithm 3).
 
-    Exposes the same ``pre`` / ``post`` / ``exclusive`` /
-    ``equal_pre_post`` API as
-    :class:`~repro.eventlog.dfg.DirectlyFollowsGraph`, so the
-    exclusive-merging pass can use either interchangeably.  Per-class
-    predecessor/successor bitmasks are precomputed once; every group
-    query is then a handful of integer operations.
+    Exposes the same ``pre`` / ``post`` / ``exclusive`` / ``signature``
+    API as :class:`~repro.eventlog.dfg.DirectlyFollowsGraph` (signatures
+    are bitmask pairs here), so the exclusive-merging pass can use
+    either interchangeably.  Per-class predecessor/successor bitmasks
+    are precomputed once; every group query is then a handful of
+    integer operations.
     """
 
     def __init__(self, compiled: CompiledLog, graph: DirectlyFollowsGraph):
@@ -820,19 +820,13 @@ class CompiledDfgOps:
             return False
         return True
 
-    def equal_pre_post(
-        self, group: Iterable[str], candidates: Iterable[frozenset[str]]
-    ) -> list[frozenset[str]]:
-        """Candidates sharing ``group``'s pre- and postsets (as bitmasks)."""
+    def signature(self, group: Iterable[str]) -> tuple[int, int]:
+        """The group's ``(preset, postset)`` as class bitmasks.
+
+        Two groups' signatures are equal exactly when their
+        :meth:`~repro.eventlog.dfg.DirectlyFollowsGraph.signature`
+        frozensets are: the key of Alg. 3's signature index.
+        """
         mask = self.compiled.mask_of(group)
         preds, succs = self._neighborhood(mask)
-        reference = (preds & ~mask, succs & ~mask)
-        matches = []
-        for other in candidates:
-            other_mask = self.compiled.mask_of(other)
-            if other_mask == mask:
-                continue
-            other_preds, other_succs = self._neighborhood(other_mask)
-            if (other_preds & ~other_mask, other_succs & ~other_mask) == reference:
-                matches.append(frozenset(other))
-        return matches
+        return preds & ~mask, succs & ~mask

@@ -15,6 +15,15 @@ instance-based constraints cannot be newly violated when merging
 exclusive groups, because no trace contains classes from both sides, so
 the merged group's instances are exactly the union of the parts'
 instances (paper §V-B).
+
+Alternatives are looked up in a *signature index*: a dict from each
+group's (preset, postset) signature (``graph.signature``) to the groups
+of the growing candidate set that share it.  The input candidates enter
+it in the ``(len, sorted)`` order the pass walks, and every merge and
+extension is appended as it lands, so a lookup returns exactly the
+groups a rescan of the whole set would match, in a fixed order.  Which
+extensions land depends on that order, so fixing it keeps the output
+independent of set iteration order, and hence of ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -35,6 +44,19 @@ class ExclusiveStats:
     merges_added: int = 0
     extensions_added: int = 0
     seconds: float = 0.0
+
+    def counters(self) -> dict:
+        """The deterministic counts, without ``seconds``.
+
+        Batch rows and the trace ``solve`` event carry these, so
+        recomputed rows compare equal; the pass's time is already in
+        ``StepTimings.exclusive``.
+        """
+        return {
+            "pairs_checked": self.pairs_checked,
+            "merges_added": self.merges_added,
+            "extensions_added": self.extensions_added,
+        }
 
 
 def merge_exclusive_candidates(
@@ -62,13 +84,26 @@ def merge_exclusive_candidates(
     else:
         graph = dfg
     stats = ExclusiveStats()
-    result = set(candidates)
+    result: set[frozenset[str]] = set()
+    # Signature index over ``result``: each (preset, postset) key lists
+    # the groups sharing it in the order they entered ``result``.
+    index: dict[object, list[frozenset[str]]] = {}
+
+    def add(group: frozenset[str]) -> None:
+        result.add(group)
+        index.setdefault(graph.signature(group), []).append(group)
+
+    ordered = sorted(candidates, key=lambda g: (len(g), sorted(g)))
+    for group in ordered:
+        add(group)
     seen_groups: set[frozenset[str]] = set()
 
-    for group in sorted(candidates, key=lambda g: (len(g), sorted(g))):
+    for group in ordered:
         if group in seen_groups:
             continue
-        equiv_groups: list[frozenset[str]] = graph.equal_pre_post(group, result)
+        equiv_groups = [
+            other for other in index[graph.signature(group)] if other != group
+        ]
         equiv_groups.append(group)
         pairs_to_check: list[tuple[frozenset[str], frozenset[str]]] = []
         for i, group_i in enumerate(equiv_groups):
@@ -85,7 +120,7 @@ def merge_exclusive_candidates(
                 continue
             if not checker.holds_class_only(merged):
                 continue
-            result.add(merged)
+            add(merged)
             stats.merges_added += 1
 
             # Extend the merge with the shared pre/post context when the
@@ -96,17 +131,17 @@ def merge_exclusive_candidates(
             if (both | group_i) in result and (both | group_j) in result:
                 if checker.holds_class_only(both | merged):
                     if (both | merged) not in result:
-                        result.add(both | merged)
+                        add(both | merged)
                         stats.extensions_added += 1
             elif (preset | group_i) in result and (preset | group_j) in result:
                 if checker.holds_class_only(preset | merged):
                     if (preset | merged) not in result:
-                        result.add(preset | merged)
+                        add(preset | merged)
                         stats.extensions_added += 1
             elif (postset | group_i) in result and (postset | group_j) in result:
                 if checker.holds_class_only(postset | merged):
                     if (postset | merged) not in result:
-                        result.add(postset | merged)
+                        add(postset | merged)
                         stats.extensions_added += 1
 
             # Iteratively larger unions of three or more alternatives.

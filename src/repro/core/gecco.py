@@ -307,6 +307,10 @@ class AbstractionResult:
     #: Step-2 solver accounting (:class:`repro.selection2.stats.SelectionStats`):
     #: mode, backends, components, presolve reductions, nodes, cache hits.
     selection_stats: object | None = None
+    #: Alg. 3 accounting (:class:`repro.core.exclusive.ExclusiveStats`:
+    #: pairs checked, merges and extensions added, seconds); ``None``
+    #: when exclusive merging is off.
+    exclusive_stats: object | None = None
 
     @property
     def size_reduction(self) -> float | None:
@@ -429,11 +433,12 @@ class Gecco:
         timings.candidates = time.perf_counter() - started
 
         candidates = set(candidate_result.groups)
+        exclusive_stats = None
         if deadline is not None:
             deadline.check("exclusive merging (step 1 done)")
         if config.exclusive_merging:
             started = time.perf_counter()
-            candidates, _exclusive_stats = merge_exclusive_candidates(
+            candidates, exclusive_stats = merge_exclusive_candidates(
                 log, candidates, checker, dfg, compiled=compiled
             )
             timings.exclusive = time.perf_counter() - started
@@ -492,6 +497,7 @@ class Gecco:
                 original_log=log,
                 engine=artifacts.engine,
                 selection_stats=selection_stats,
+                exclusive_stats=exclusive_stats,
             )
 
         grouping = selection.grouping
@@ -521,6 +527,7 @@ class Gecco:
             original_log=log,
             engine=artifacts.engine,
             selection_stats=selection_stats,
+            exclusive_stats=exclusive_stats,
         )
 
     # -- helpers ------------------------------------------------------------

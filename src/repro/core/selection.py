@@ -156,13 +156,12 @@ def select_optimal_grouping(
         program = build_program(ordered, costs, universe, min_groups, max_groups)
         outcome = scipy_backend.solve(program, time_limit=time_limit)
 
-    elapsed = time.perf_counter() - started
     if outcome.status is not SolverStatus.OPTIMAL:
         return SelectionResult(
             grouping=None,
             objective=None,
             status=outcome.status,
-            seconds=elapsed,
+            seconds=time.perf_counter() - started,
             num_candidates=len(ordered),
             solver_message=outcome.message,
             backend=backend,
@@ -194,7 +193,7 @@ def select_optimal_grouping(
         grouping=grouping,
         objective=objective,
         status=SolverStatus.OPTIMAL,
-        seconds=elapsed,
+        seconds=time.perf_counter() - started,
         num_candidates=len(ordered),
         solver_message=outcome.message,
         backend=backend,

@@ -8,9 +8,9 @@ partitioning baseline both need.
 
 Beyond plain construction, this module provides the group-level
 neighborhood operations used by Algorithm 3 (exclusive-candidate
-merging): pre/post sets of groups, the ``equal_pre_post`` equivalence
-that identifies *behavioral alternatives* (Fig. 6), and the
-``exclusive`` edge check.
+merging): pre/post sets of groups, the ``(preset, postset)``
+``signature`` whose equality identifies *behavioral alternatives*
+(Fig. 6), and the ``exclusive`` edge check.
 """
 
 from __future__ import annotations
@@ -126,27 +126,33 @@ class DirectlyFollowsGraph:
                     return False
         return True
 
+    def signature(self, group: Iterable[str]) -> tuple[frozenset[str], frozenset[str]]:
+        """The group's ``(preset, postset)``: the key of Alg. 3's index.
+
+        Two groups with equal signatures are *behavioral alternatives*
+        (Fig. 6): merging them loses no behavioral information.  Both
+        sets exclude the group's own members, so e.g. ``{ckc}`` and
+        ``{ckt}`` match when both are preceded by ``{rcp}`` and followed
+        by ``{acc, rej}``.
+        """
+        members = frozenset(group)
+        return self.pre(members), self.post(members)
+
     def equal_pre_post(
         self, group: Iterable[str], candidates: Iterable[frozenset[str]]
     ) -> list[frozenset[str]]:
-        """Groups among ``candidates`` sharing ``group``'s pre- and postsets.
+        """Groups among ``candidates`` sharing ``group``'s :meth:`signature`.
 
-        Two groups with identical presets and postsets are *behavioral
-        alternatives* (Fig. 6): merging them loses no behavioral
-        information.  The comparison excludes the groups' own members,
-        so e.g. ``{ckc}`` and ``{ckt}`` match when both are preceded by
-        ``{rcp}`` and followed by ``{acc, rej}``.
+        The one-group Fig. 6 query, in ``candidates`` order; Alg. 3
+        indexes the whole candidate set by signature instead.
         """
         group = frozenset(group)
-        reference = (self.pre(group), self.post(group))
-        matches = []
-        for other in candidates:
-            other = frozenset(other)
-            if other == group:
-                continue
-            if (self.pre(other), self.post(other)) == reference:
-                matches.append(other)
-        return matches
+        reference = self.signature(group)
+        return [
+            other
+            for other in map(frozenset, candidates)
+            if other != group and self.signature(other) == reference
+        ]
 
     # -- filtered views --------------------------------------------------
 

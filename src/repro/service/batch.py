@@ -79,6 +79,11 @@ def job_row(job: AbstractionJob, result, cached: bool, seconds: float,
             if getattr(result, "selection_stats", None) is not None
             else None
         ),
+        "exclusive": (
+            result.exclusive_stats.counters()
+            if getattr(result, "exclusive_stats", None) is not None
+            else None
+        ),
         "groups": (
             sorted(sorted(group) for group in result.grouping)
             if result.grouping is not None

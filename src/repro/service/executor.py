@@ -165,6 +165,11 @@ def run_job(
                     if result.selection_stats is not None
                     else None
                 ),
+                exclusive_stats=(
+                    result.exclusive_stats.counters()
+                    if result.exclusive_stats is not None
+                    else None
+                ),
             )
         cache.put_result(fingerprint.full, result)
     except DeadlineExceeded as exc:

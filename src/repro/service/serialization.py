@@ -23,6 +23,7 @@ from typing import Any
 from repro.constraints.sets import InfeasibilityReport
 from repro.core.candidates import CandidateStats
 from repro.core.dfg_candidates import BeamStats
+from repro.core.exclusive import ExclusiveStats
 from repro.core.gecco import AbstractionResult, StepTimings
 from repro.core.grouping import Grouping
 from repro.eventlog.events import Event, EventLog, Trace
@@ -191,6 +192,11 @@ def result_to_dict(result: AbstractionResult, include_logs: bool = True) -> dict
             if isinstance(result.selection_stats, SelectionStats)
             else None
         ),
+        "exclusive_stats": (
+            asdict(result.exclusive_stats)
+            if result.exclusive_stats is not None
+            else None
+        ),
         "infeasibility": (
             infeasibility_to_dict(result.infeasibility)
             if result.infeasibility is not None
@@ -234,6 +240,11 @@ def result_from_dict(data: dict) -> AbstractionResult:
             if data.get("selection_stats") is not None
             else None
         ),
+        exclusive_stats=(
+            ExclusiveStats(**data["exclusive_stats"])
+            if data.get("exclusive_stats") is not None
+            else None
+        ),
         infeasibility=(
             infeasibility_from_dict(data["infeasibility"])
             if data.get("infeasibility") is not None
@@ -258,4 +269,5 @@ def result_signature(result: AbstractionResult) -> str:
     data.pop("timings", None)
     data.pop("candidate_stats", None)
     data.pop("selection_stats", None)  # solver accounting, not output
+    data.pop("exclusive_stats", None)  # Alg. 3 accounting, not output
     return json.dumps(data, sort_keys=True, separators=(",", ":"))

@@ -176,9 +176,17 @@ class TestCompiledDfgOps:
         ops = CompiledDfgOps(CompiledLog(running_log), graph)
         candidates = dfg_candidates(running_log, ConstraintSet([])).groups
         for group in candidates:
-            assert ops.equal_pre_post(group, candidates) == graph.equal_pre_post(
-                group, candidates
-            ), group
+            preset, postset = ops.signature(group)
+            assert (
+                ops.compiled.group_of(preset),
+                ops.compiled.group_of(postset),
+            ) == graph.signature(group), group
+            matches = [
+                other
+                for other in candidates
+                if other != group and ops.signature(other) == ops.signature(group)
+            ]
+            assert matches == graph.equal_pre_post(group, candidates), group
 
 
 class TestEventLogOccursCache:

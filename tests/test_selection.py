@@ -86,3 +86,26 @@ class TestInfeasibility:
         distance = DistanceFunction(running_log)
         result = select_optimal_grouping(running_log, running_candidates, distance)
         assert result.num_candidates == len(running_candidates)
+
+
+class TestTiming:
+    def test_seconds_cover_canonicalization(
+        self, running_log, running_candidates, monkeypatch
+    ):
+        """``seconds`` is read after the lex-min tie-break, not before it."""
+        import time
+
+        from repro.core import selection
+
+        canonicalize = selection.lexmin_optimal_selection
+
+        def slow_canonicalize(*args, **kwargs):
+            time.sleep(0.2)
+            return canonicalize(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "lexmin_optimal_selection", slow_canonicalize)
+        result = select_optimal_grouping(
+            running_log, running_candidates, DistanceFunction(running_log), backend="bnb"
+        )
+        assert result.feasible
+        assert result.seconds >= 0.2

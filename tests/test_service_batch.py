@@ -96,6 +96,29 @@ class TestRunBatch:
             r["fingerprint"] for r in cold.rows
         ]
 
+    def test_recomputed_rows_equal_but_for_provenance(self, tmp_path):
+        """Two cold runs give equal rows once cached/seconds/selection go.
+
+        The Alg. 3 ``exclusive`` column carries only counters, so it
+        takes part in the comparison.
+        """
+        manifest = tmp_path / "jobs.jsonl"
+        write_manifest(manifest, MANIFEST_ROWS[:2])
+
+        def masked(rows):
+            return [
+                {k: v for k, v in row.items()
+                 if k not in ("cached", "seconds", "selection")}
+                for row in rows
+            ]
+
+        first = run_batch(load_manifest(manifest), workers=1).rows
+        second = run_batch(load_manifest(manifest), workers=1).rows
+        assert masked(first) == masked(second)
+        assert set(first[0]["exclusive"]) == {
+            "pairs_checked", "merges_added", "extensions_added"
+        }
+
     def test_output_jsonl(self, tmp_path):
         manifest = tmp_path / "jobs.jsonl"
         out = tmp_path / "results.jsonl"

@@ -136,3 +136,18 @@ class TestJsonRoundTrip:
         assert compact["abstracted_log"] is None
         with pytest.raises(ReproError):
             result_from_dict(compact)
+
+    def test_exclusive_stats_round_trip(self, running_result):
+        stats = running_result.exclusive_stats
+        assert stats is not None and stats.merges_added >= 1
+        clone = result_from_dict(result_to_dict(running_result))
+        assert clone.exclusive_stats == stats
+
+    def test_rows_without_exclusive_stats_still_load(self, running_result):
+        """Rows written before the field existed rebuild with ``None``."""
+        data = result_to_dict(running_result)
+        del data["exclusive_stats"]
+        clone = result_from_dict(data)
+        assert clone.exclusive_stats is None
+        # Accounting, not output: the signature ignores it.
+        assert result_signature(clone) == result_signature(running_result)
