@@ -162,9 +162,15 @@ def _item_markdown(module_name: str, name: str, role: str) -> str:
     lines.append(doc)
     lines.append("```")
     if inspect.isclass(item):
+        # A private base class (e.g. the executors' dispatch core) is
+        # part of its public subclasses' surface.
+        members: dict = {}
+        for klass in reversed(item.__mro__):
+            if klass is item or klass.__name__.startswith("_"):
+                members.update(vars(klass))
         methods = [
             (method_name, method)
-            for method_name, method in vars(item).items()
+            for method_name, method in members.items()
             if not method_name.startswith("_") and inspect.isfunction(method)
         ]
         for method_name, method in methods:
@@ -175,7 +181,7 @@ def _item_markdown(module_name: str, name: str, role: str) -> str:
             )
         properties = [
             (prop_name, prop)
-            for prop_name, prop in vars(item).items()
+            for prop_name, prop in members.items()
             if not prop_name.startswith("_") and isinstance(prop, property)
         ]
         for prop_name, prop in properties:

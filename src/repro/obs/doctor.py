@@ -582,9 +582,9 @@ def recommend(report: dict) -> list[dict]:
     return recs
 
 
-def _reason_class(reason: str) -> str:
+def _reason_class(reason) -> str:
     """Collapse free-text quarantine reasons into stable classes."""
-    text = (reason or "").lower()
+    text = str(reason or "").lower()
     if "deserialize" in text or "poison" in text or "pickle" in text:
         return "poison_payload"
     if "attempt" in text or "exhaust" in text or "budget" in text:

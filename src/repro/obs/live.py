@@ -40,6 +40,7 @@ import threading
 import time
 from collections import Counter, deque
 
+from repro.obs.doctor import _reason_class
 from repro.obs.metrics import Histogram
 from repro.obs.trace import _merge_key, parse_trace_bytes, read_trace
 
@@ -296,7 +297,7 @@ class LiveAggregator:
             self.taxonomy["releases"] += 1
         elif name == "quarantined":
             self.taxonomy["quarantines"] += 1
-            self.quarantine_reasons[_classify_reason(event.get("reason"))] += 1
+            self.quarantine_reasons[_reason_class(event.get("reason"))] += 1
         elif name == "shed":
             if key is not None:
                 self._queued_at.pop(key, None)
@@ -420,16 +421,6 @@ class LiveAggregator:
             ],
             "incidents": list(self._incidents),
         }
-
-
-def _classify_reason(reason) -> str:
-    """Collapse quarantine reasons the way the doctor does."""
-    text = str(reason or "")
-    if "deserialize" in text:
-        return "poison_payload"
-    if "attempts" in text:
-        return "attempts_exhausted"
-    return "other"
 
 
 def _fmt_seconds(value) -> str:

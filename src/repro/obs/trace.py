@@ -273,6 +273,17 @@ class TraceWriter:
         self.close()
 
 
+def as_tracer(trace, worker: str, rotate_mb: float | None = None):
+    """Coerce a ``trace`` option (a JSONL path or a writer) to a writer.
+
+    ``None`` and existing writers pass through unchanged; a path opens a
+    new :class:`TraceWriter` that stamps ``worker`` on its events.
+    """
+    if trace is None or hasattr(trace, "emit"):
+        return trace
+    return TraceWriter(trace, worker=worker, rotate_mb=rotate_mb)
+
+
 def trace_segments(path) -> list[str]:
     """All on-disk segments of one logical trace, oldest first.
 

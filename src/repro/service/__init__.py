@@ -14,9 +14,9 @@ amortizes work across requests:
   (multiprocessing, priorities, backpressure, per-worker artifact
   reuse) and the deterministic :class:`SequentialExecutor`;
 * :mod:`~repro.service.dist` — :class:`DistributedExecutor`: the same
-  executor protocol over a broker queue (filesystem / SQLite /
-  optional Redis), scaling the fleet across processes and hosts with
-  leases, heartbeats, and dead-worker requeue;
+  executor protocol, and the pool's dispatch core, over a broker queue
+  (filesystem or SQLite), scaling the fleet across processes and hosts
+  with leases, heartbeats, and dead-worker requeue;
 * :mod:`~repro.service.batch` — ``repro batch`` / ``repro serve``
   entry-point machinery (JSONL manifests, line-JSON serve loop);
 * :mod:`~repro.service.resilience` — deadlines, admission control,

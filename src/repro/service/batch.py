@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from repro.exceptions import ReproError
+from repro.obs.trace import as_tracer
 from repro.service.executor import PoolExecutor, SequentialExecutor
 from repro.service.jobs import AbstractionJob, share_log_refs
 from repro.service.resilience import DeadlineExceeded, Overloaded
@@ -146,7 +147,7 @@ def make_executor(
 
     Without a ``broker``: 1 worker means the deterministic
     :class:`SequentialExecutor`, more means a :class:`PoolExecutor`.
-    With a broker URL (``fs://``, ``sqlite://``, ``redis://``): a
+    With a broker URL (``fs://``, ``sqlite://``): a
     :class:`~repro.service.dist.executor.DistributedExecutor` that
     spawns ``workers`` local worker processes against the broker
     (``workers=0`` relies entirely on external ``repro worker``
@@ -166,15 +167,13 @@ def make_executor(
     ``<path>.1`` (the policy propagates to worker-process writers on
     the same path).
     """
-    if trace_rotate_mb and trace is not None and not hasattr(trace, "emit"):
+    if trace_rotate_mb:
         import os as _os
-
-        from repro.obs.trace import TraceWriter
 
         name = "dist-executor" if broker is not None else (
             "sequential" if workers <= 1 else f"pool-parent-{_os.getpid()}"
         )
-        trace = TraceWriter(str(trace), worker=name, rotate_mb=trace_rotate_mb)
+        trace = as_tracer(trace, worker=name, rotate_mb=trace_rotate_mb)
     if broker is not None:
         from repro.service.dist.executor import DistributedExecutor
         from repro.service.resilience import DegradingExecutor
@@ -200,7 +199,7 @@ def make_executor(
 
                 return SequentialExecutor(
                     ArtifactCache(disk_dir=disk_dir),
-                    tracer=_as_tracer(trace, worker="fallback-sequential"),
+                    tracer=as_tracer(trace, worker="fallback-sequential"),
                 )
         return DegradingExecutor(primary, fallback_factory, tracer=primary.tracer)
     if workers <= 1:
@@ -208,7 +207,7 @@ def make_executor(
 
         return SequentialExecutor(
             cache or ArtifactCache(disk_dir=disk_dir),
-            tracer=_as_tracer(trace, worker="sequential"),
+            tracer=as_tracer(trace, worker="sequential"),
         )
     return PoolExecutor(
         workers=workers,
@@ -219,15 +218,6 @@ def make_executor(
         admission=admission,
         trace=trace,
     )
-
-
-def _as_tracer(trace, worker: str):
-    """Coerce a ``--trace`` value (path or TraceWriter) to a writer."""
-    if trace is None or hasattr(trace, "emit"):
-        return trace
-    from repro.obs.trace import TraceWriter
-
-    return TraceWriter(str(trace), worker=worker)
 
 
 def run_batch(

@@ -13,16 +13,14 @@ processes and hosts.  The pieces:
   :mod:`~repro.service.dist.sqlitebroker` — two zero-dependency broker
   implementations (shared directory with atomic renames; one SQLite
   WAL file with row locks);
-* :mod:`~repro.service.dist.redisbroker` — optional Redis broker
-  behind an import gate;
 * :mod:`~repro.service.dist.worker` — the ``repro worker --broker URL``
   claim-and-run loop;
 * :mod:`~repro.service.dist.chaos` — :class:`ChaosBroker`, a seedable
   fault-injecting proxy over any broker (deterministic resilience
   drills; ``repro worker --chaos-seed N ...``);
 * :mod:`~repro.service.dist.executor` — :class:`DistributedExecutor`,
-  implementing the exact executor protocol of the pool (``submit``,
-  ``submit_call``, coalescing, priorities, backpressure) over a broker.
+  the broker transport under the pool's dispatch core (``submit``,
+  ``submit_call``, coalescing, priorities, backpressure).
 
 Quickstart (one shared directory, two local workers)::
 

@@ -27,11 +27,8 @@ Two zero-dependency implementations ship in this package —
 :class:`~repro.service.dist.fsbroker.FilesystemBroker` (atomic-rename
 claims on a shared directory) and
 :class:`~repro.service.dist.sqlitebroker.SQLiteBroker` (row locks in
-one WAL database file) — plus an optional
-:class:`~repro.service.dist.redisbroker.RedisBroker` behind the same
-import gate pattern as numpy/scipy.  :func:`connect_broker` maps broker
-URLs (``fs://…``, ``sqlite://…``, ``redis://…``, or a bare directory
-path) to instances.
+one WAL database file).  :func:`connect_broker` maps broker URLs
+(``fs://…``, ``sqlite://…``, or a bare directory path) to instances.
 """
 
 from __future__ import annotations
@@ -279,20 +276,10 @@ def connect_broker(url: str) -> Broker:
       local disk for same-host fleets, NFS for multi-host);
     * ``sqlite:///path/to/queue.db`` — the zero-dependency SQLite
       queue (one WAL database file; same-host fleets only — WAL's
-      shared-memory index does not work across machines);
-    * ``redis://host:port/db`` — the Redis queue; needs the optional
-      ``redis`` package and raises :class:`~repro.exceptions.ReproError`
-      with an install hint when it is absent.
-    """
-    if url.startswith("redis://") or url.startswith("rediss://"):
-        from repro.service.dist.redisbroker import HAVE_REDIS, RedisBroker
+      shared-memory index does not work across machines).
 
-        if not HAVE_REDIS:
-            raise ReproError(
-                "broker URL needs the optional 'redis' package "
-                "(pip install redis), or use fs:// / sqlite:// brokers"
-            )
-        return RedisBroker(url)
+    Any other scheme raises :class:`~repro.exceptions.ReproError`.
+    """
     if url.startswith("sqlite://"):
         from repro.service.dist.sqlitebroker import SQLiteBroker
 
@@ -303,7 +290,7 @@ def connect_broker(url: str) -> Broker:
     if "://" in url and not url.startswith("fs://"):
         raise ReproError(
             f"unknown broker URL scheme {url.split('://', 1)[0]!r} "
-            "(use fs://, sqlite://, or redis://)"
+            "(use fs:// or sqlite://)"
         )
     from repro.service.dist.fsbroker import FilesystemBroker
 

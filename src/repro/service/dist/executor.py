@@ -7,7 +7,9 @@ handles, priorities, bounded-queue backpressure, in-flight request
 coalescing — but the workers are **processes anywhere**: local children
 spawned by the executor (``workers=N``), and/or remote ``repro worker
 --broker URL`` loops on other hosts, all draining one
-:class:`~repro.service.dist.broker.Broker`.
+:class:`~repro.service.dist.broker.Broker`.  The submit front door and
+completion bookkeeping are the pool's (one dispatch core); this module
+is only the broker transport.
 
 The parent side never blocks a thread per task: ``submit`` pickles the
 job into the broker, a single poller thread watches for result
@@ -33,7 +35,6 @@ import pickle
 import threading
 import time
 
-from repro.core.gecco import resolve_engine
 from repro.exceptions import ReproError
 from repro.service import fingerprint as fp
 from repro.service.cache import ArtifactCache
@@ -46,14 +47,9 @@ from repro.service.dist.broker import (
     new_task_id,
 )
 from repro.service.dist.worker import spawn_worker_process
-from repro.service.executor import (
-    CallHandle,
-    JobHandle,
-    _fingerprinted_handle,
-    mint_submit_span,
-)
+from repro.service.executor import _DispatchCore, _Task, job_prefix
 from repro.service.jobs import AbstractionJob
-from repro.service.resilience import AdmissionController, DeadlineExceeded, Overloaded
+from repro.service.resilience import AdmissionController
 
 
 def job_affinity_key(job: AbstractionJob) -> str:
@@ -63,56 +59,17 @@ def job_affinity_key(job: AbstractionJob) -> str:
     route them to one worker so the fleet builds each log's artifacts
     at most once (the distributed twin of the pool's prefix routing).
     """
-    config = job.config
-    engine = resolve_engine(config.engine, warn=False)
-    prefix = job.fingerprint().artifact_key(config.instance_policy, engine)
-    return fp.digest_text("|".join(str(part) for part in prefix))[:16]
+    return fp.digest_text("|".join(str(part) for part in job_prefix(job)))[:16]
 
 
-class _InflightItem:
-    """Executor-side record of one task awaiting a broker result."""
-
-    __slots__ = (
-        "kind",
-        "handle",
-        "fingerprint",
-        "priority",
-        "seq",
-        "deadline_at",
-        "trace_id",
-        "span_id",
-    )
-
-    def __init__(
-        self,
-        kind: str,
-        handle,
-        fingerprint: str | None = None,
-        priority: int = 0,
-        seq: int = 0,
-        deadline_at: float | None = None,
-        trace_id: str | None = None,
-        span_id: str | None = None,
-    ):
-        self.kind = kind
-        self.handle = handle
-        self.fingerprint = fingerprint
-        self.priority = priority
-        self.seq = seq
-        self.deadline_at = deadline_at
-        self.trace_id = trace_id
-        self.span_id = span_id
-
-
-class DistributedExecutor:
+class DistributedExecutor(_DispatchCore):
     """Executor over a broker-backed, possibly multi-host worker fleet.
 
     Parameters
     ----------
     broker:
-        A broker URL (``fs:///shared/dir``, ``sqlite:///path.db``,
-        ``redis://host:port/0``) or a connected
-        :class:`~repro.service.dist.broker.Broker` instance.
+        A broker URL (``fs:///shared/dir``, ``sqlite:///path.db``) or a
+        connected :class:`~repro.service.dist.broker.Broker` instance.
     workers:
         Local worker processes to spawn against the broker (0 = rely
         on external ``repro worker`` processes entirely).
@@ -136,14 +93,17 @@ class DistributedExecutor:
         Delivery budget per task before it is quarantined.
     max_load / admission:
         Admission control (see :mod:`repro.service.resilience`), same
-        contract as the pool's: past ``max_load`` in-flight *jobs*, the
-        lowest-priority one is shed with a typed
+        contract as the pool's: past ``max_load`` in-flight tasks, the
+        lowest-priority job is shed with a typed
         :class:`~repro.service.resilience.Overloaded` failure (the
         incoming job itself when nothing in flight ranks below it);
         ``admission`` supplies per-tenant token-bucket quotas.  A shed
         job's broker task is orphaned — its (discarded) result is
         reclaimed by the broker's stale-result sweep.  Generic calls
         are exempt.
+    trace:
+        A JSONL trace path (shared with spawned workers, who open their
+        own writers on it) or a :class:`~repro.obs.trace.TraceWriter`.
     """
 
     def __init__(
@@ -162,41 +122,15 @@ class DistributedExecutor:
     ):
         if workers < 0:
             raise ReproError(f"workers must be >= 0, got {workers}")
-        if max_pending is not None and max_pending < 1:
-            raise ReproError(f"max_pending must be >= 1, got {max_pending}")
+        super().__init__(
+            cache, disk_dir, max_pending, max_load, admission, trace,
+            tracer_name="dist-executor",
+        )
         self._owns_broker = isinstance(broker, str)
-        self.broker = connect_broker(broker) if isinstance(broker, str) else broker
-        self.cache = cache if cache is not None else ArtifactCache(disk_dir=disk_dir)
-        # trace accepts a path (shared with spawned workers, who open
-        # their own O_APPEND writers) or a TraceWriter (parent-only).
-        self.tracer = None
-        self._trace_path: str | None = None
-        if trace is not None:
-            if hasattr(trace, "emit"):
-                self.tracer = trace
-                self._trace_path = getattr(trace, "path", None)
-            else:
-                from repro.obs.trace import TraceWriter
-
-                self._trace_path = str(trace)
-                self.tracer = TraceWriter(self._trace_path, worker="dist-executor")
-            if getattr(self.cache, "tracer", None) is None:
-                self.cache.tracer = self.tracer
+        self.broker = connect_broker(broker) if self._owns_broker else broker
         self.lease = lease
         self.poll_interval = poll_interval
         self.max_attempts = max_attempts
-        self._max_pending = max_pending
-        if admission is None and max_load is not None:
-            admission = AdmissionController(max_load=max_load)
-        self.admission = admission
-        self._seq = 0
-        self._lock = threading.Lock()
-        self._space = threading.Condition(self._lock)
-        self._inflight: dict[str, _InflightItem] = {}
-        #: fingerprint -> primary in-flight job handle (coalescing).
-        self._active: dict[str, JobHandle] = {}
-        self._worker_stats: dict[str, dict] = {}
-        self._closed = False
         self._last_requeue = 0.0
         self._requeues = 0
         self._processes = []
@@ -213,7 +147,7 @@ class DistributedExecutor:
                     cache_dir=disk_dir,
                     lease=lease,
                     poll_interval=poll_interval,
-                    trace=self._trace_path,
+                    trace=getattr(self.tracer, "path", None),
                     trace_rotate_mb=getattr(self.tracer, "rotate_mb", None),
                 )
                 for _ in range(workers)
@@ -221,228 +155,51 @@ class DistributedExecutor:
         self._poller = threading.Thread(target=self._poll_loop, daemon=True)
         self._poller.start()
 
-    # -- submission --------------------------------------------------------
+    # -- transport ---------------------------------------------------------
 
-    def _enqueue(self, item: _InflightItem, envelope: TaskEnvelope) -> None:
-        """Register the in-flight item, then hand the envelope to the broker."""
-        with self._space:
-            if self._closed:
-                raise ReproError("executor is shut down")
-            if item.fingerprint is not None:
-                primary = self._active.get(item.fingerprint)
-                if primary is not None and primary is not item.handle:
-                    primary._attach(item.handle)
-                    return
-            while (
-                self._max_pending is not None
-                and len(self._inflight) >= self._max_pending
-            ):
-                self._space.wait()
-                if self._closed:
-                    raise ReproError("executor is shut down")
-                if item.fingerprint is not None:
-                    primary = self._active.get(item.fingerprint)
-                    if primary is not None and primary is not item.handle:
-                        primary._attach(item.handle)
-                        return
-            self._inflight[envelope.task_id] = item
-            if item.fingerprint is not None:
-                self._active[item.fingerprint] = item.handle
-        try:
-            self.broker.put(envelope)
-        except Exception:
-            with self._space:
-                self._inflight.pop(envelope.task_id, None)
-                if item.fingerprint is not None:
-                    self._active.pop(item.fingerprint, None)
-                self._space.notify_all()
-            raise
-
-    def _evict_lowest_locked(self, rank: int) -> "_InflightItem | None":
-        """Pop the lowest-priority in-flight *job* ranking below ``rank``.
-
-        The victim of a load shed: lowest priority, latest submitted on
-        ties.  Returns ``None`` when nothing in flight ranks strictly
-        below ``rank`` (the incoming job is then the victim).  Generic
-        calls are never evicted.
-        """
-        worst_id: str | None = None
-        worst_key: "tuple | None" = None
-        for task_id, item in self._inflight.items():
-            if item.kind != "job":
-                continue
-            key = (-item.priority, item.seq)
-            if worst_key is None or key > worst_key:
-                worst_key, worst_id = key, task_id
-        if worst_id is None or self._inflight[worst_id].priority >= rank:
-            return None
-        victim = self._inflight.pop(worst_id)
-        if victim.fingerprint is not None:
-            self._active.pop(victim.fingerprint, None)
-        return victim
-
-    def submit(self, job: AbstractionJob, priority: int | None = None) -> JobHandle:
-        """Enqueue a job on the broker; higher ``priority`` claims first.
-
-        A parent cache hit completes the handle immediately (without
-        charging the tenant's quota); an identical in-flight job
-        coalesces (one computation, many awaiters).  Blocks while
-        ``max_pending`` tasks are in flight.  With admission control
-        configured, shed jobs fail typed
-        (:class:`~repro.service.resilience.Overloaded`) through their
-        handles — ``submit`` never raises for a policy outcome.
-        """
-        job.deadline()  # pin the absolute budget before pickling
-        handle = _fingerprinted_handle(job)
-        if handle.done():  # fingerprinting failed (e.g. unreadable log)
-            return handle
-        tracer = self.tracer
-        mint_submit_span(job, tracer)
-        if tracer is not None:
-            tracer.emit(
-                "submitted",
-                fingerprint=handle.fingerprint,
-                kind="job",
-                trace_id=job.trace_id,
-                span_id=job.span_id,
-            )
-        hit = self.cache.get_result(handle.fingerprint)
-        if hit is not None:
-            if tracer is not None:
-                tracer.emit(
-                    "done",
-                    fingerprint=handle.fingerprint,
-                    cached=True,
-                    trace_id=job.trace_id,
-                    parent_span=job.span_id,
-                )
-            handle._complete(hit, True)
-            return handle
-        if self.admission is not None and not self.admission.admit(job.tenant):
-            if tracer is not None:
-                tracer.emit(
-                    "shed",
-                    fingerprint=handle.fingerprint,
-                    cause="tenant_quota",
-                    trace_id=job.trace_id,
-                    parent_span=job.span_id,
-                )
-            handle._fail(
-                Overloaded(f"tenant {job.tenant!r} is over its admission quota")
-            )
-            return handle
-        rank = job.priority if priority is None else priority
-        max_load = self.admission.max_load if self.admission is not None else None
-        victim: "_InflightItem | None" = None
-        shed_incoming = False
-        with self._space:
-            if self._closed:
-                raise ReproError("executor is shut down")
-            primary = self._active.get(handle.fingerprint)
-            if primary is not None:
-                primary._attach(handle)
-                return handle
-            if max_load is not None and len(self._inflight) >= max_load:
-                self.admission.count_load_shed()
-                victim = self._evict_lowest_locked(rank)
-                if victim is None:
-                    shed_incoming = True
-                else:
-                    self._space.notify_all()
-        if victim is not None:
-            if tracer is not None:
-                tracer.emit(
-                    "shed",
-                    fingerprint=victim.fingerprint,
-                    cause="max_load_evicted",
-                    trace_id=victim.trace_id,
-                    parent_span=victim.span_id,
-                )
-            victim.handle._fail(
-                Overloaded(
-                    f"shed at max_load={max_load} by higher-priority submission"
-                )
-            )
-        if shed_incoming:
-            if tracer is not None:
-                tracer.emit(
-                    "shed",
-                    fingerprint=handle.fingerprint,
-                    cause="max_load",
-                    trace_id=job.trace_id,
-                    parent_span=job.span_id,
-                )
-            handle._fail(Overloaded(f"executor at max_load={max_load}; job shed"))
-            return handle
-        envelope = TaskEnvelope(
+    def _prepare(self, task: _Task) -> None:
+        job = task.job
+        task.envelope = TaskEnvelope(
             task_id=new_task_id(),
-            kind="job",
-            payload=pickle.dumps(job),
-            priority=rank,
-            affinity=job_affinity_key(job),
+            kind=task.kind,
+            payload=pickle.dumps(task.payload),
+            priority=task.priority,
+            affinity=job_affinity_key(job) if job is not None else None,
         )
+
+    def _launch(self, task: _Task) -> None:
+        """Hand the envelope to the broker; a failed put unregisters and raises."""
         with self._lock:
-            self._seq += 1
-            seq = self._seq
-        item = _InflightItem(
-            "job",
-            handle,
-            fingerprint=handle.fingerprint,
-            priority=rank,
-            seq=seq,
-            deadline_at=job.deadline_at,
-            trace_id=job.trace_id,
-            span_id=job.span_id,
-        )
-        self._enqueue(item, envelope)
-        if tracer is not None:
-            with self._lock:
-                enqueued = envelope.task_id in self._inflight
-            if enqueued:  # not coalesced onto an in-flight twin
-                tracer.emit(
-                    "queued",
-                    fingerprint=handle.fingerprint,
-                    task_id=envelope.task_id,
-                    priority=rank,
-                    affinity=envelope.affinity,
-                    trace_id=job.trace_id,
-                    parent_span=job.span_id,
-                )
-        return handle
-
-    def submit_call(self, fn, *args, priority: int = 0, **kwargs) -> CallHandle:
-        """Enqueue a generic call; a worker runs it with its cache injected.
-
-        ``fn`` must be picklable (a module-level function) and accept a
-        ``cache`` keyword — identical to the pool's ``submit_call``
-        contract, which is how Step-2 component solves fan out over a
-        distributed fleet.
-        """
-        handle = CallHandle(getattr(fn, "__name__", "call"))
-        envelope = TaskEnvelope(
-            task_id=new_task_id(),
-            kind="call",
-            payload=pickle.dumps((fn, args, kwargs)),
-            priority=priority,
-        )
-        self._enqueue(_InflightItem("call", handle), envelope)
-        return handle
-
-    def map(self, jobs) -> list:
-        """Submit all jobs, await all results (submission order)."""
-        handles = [self.submit(job) for job in jobs]
-        return [handle.result() for handle in handles]
-
-    # -- result polling ----------------------------------------------------
+            if task.seq not in self._tasks:  # shed or shut down meanwhile
+                return
+        try:
+            self.broker.put(task.envelope)
+        except Exception as exc:
+            # Fail the handle too, so jobs coalesced onto it never hang.
+            self._release(task)
+            task.handle._fail(exc)
+            raise
+        job = task.job
+        if job is not None and self.tracer is not None:
+            self.tracer.emit(
+                "queued",
+                fingerprint=task.handle.fingerprint,
+                task_id=task.envelope.task_id,
+                priority=task.priority,
+                affinity=task.envelope.affinity,
+                trace_id=job.trace_id,
+                parent_span=job.span_id,
+            )
 
     def _poll_loop(self) -> None:
         while True:
             with self._lock:
                 if self._closed:
                     return
-                pending = list(self._inflight.items())
+                pending = list(self._tasks.values())
             progressed = False
-            for task_id, item in pending:
+            for task in pending:
+                task_id = task.envelope.task_id
                 try:
                     payload = self.broker.get_result(task_id)
                 except Exception:
@@ -451,30 +208,14 @@ class DistributedExecutor:
                     # Deadline fail-fast: an expired job never hangs its
                     # awaiter, even with zero workers on the broker.  A
                     # result that *did* arrive in budget is delivered
-                    # normally above.
-                    if (
-                        item.deadline_at is not None
-                        and time.time() >= item.deadline_at
-                    ):
-                        with self._space:
-                            self._inflight.pop(task_id, None)
-                            if item.fingerprint is not None:
-                                self._active.pop(item.fingerprint, None)
-                            self._space.notify_all()
-                        if self.tracer is not None:
-                            self.tracer.emit(
-                                "deadline_exceeded",
-                                fingerprint=item.fingerprint,
-                                task_id=task_id,
-                                stage="awaiting_result",
-                                trace_id=item.trace_id,
-                                parent_span=item.span_id,
-                            )
-                        item.handle._fail(
-                            DeadlineExceeded(
-                                "deadline exceeded awaiting distributed result "
-                                f"for task {task_id[:12]}"
-                            )
+                    # normally below.
+                    deadline_at = task.job.deadline_at if task.job is not None else None
+                    if deadline_at is not None and time.time() >= deadline_at:
+                        self._expire(
+                            task, "awaiting_result",
+                            "deadline exceeded awaiting distributed result "
+                            f"for task {task_id[:12]}",
+                            task_id=task_id,
                         )
                         progressed = True
                     continue
@@ -483,12 +224,8 @@ class DistributedExecutor:
                     self.broker.forget_result(task_id)
                 except Exception:
                     pass
-                with self._space:
-                    self._inflight.pop(task_id, None)
-                    if item.fingerprint is not None:
-                        self._active.pop(item.fingerprint, None)
-                    self._space.notify_all()
-                self._deliver(item, payload)
+                if self._release(task):
+                    self._deliver_record(task, payload)
             now = time.time()
             if now - self._last_requeue >= max(self.lease / 2.0, 0.05):
                 self._last_requeue = now
@@ -504,25 +241,29 @@ class DistributedExecutor:
             if not progressed:
                 time.sleep(self.poll_interval)
 
-    def _deliver(self, item: _InflightItem, payload: bytes) -> None:
+    def _deliver_record(self, task: _Task, payload: bytes) -> None:
         """Turn one result envelope into a handle completion/failure."""
         try:
             record = decode_result(payload)
         except Exception as exc:
-            item.handle._fail(
-                ReproError(f"broker returned an undecodable result: {exc}")
+            self._deliver(
+                task, error=ReproError(f"broker returned an undecodable result: {exc}")
             )
             return
         worker = record.get("worker") or "?"
-        stats = record.get("worker_stats")
-        if stats:
-            with self._lock:
-                self._worker_stats[worker] = dict(stats)
+        if record.get("worker_stats"):
+            self._record_worker(worker, record["worker_stats"])
+        error = None
+        if not record["ok"]:
+            error = record.get("exception")
+            if error is None:
+                error = ReproError(str(record.get("error") or "task failed"))
+        job = task.job
         if self.tracer is not None:
             self.tracer.emit(
                 "done",
-                fingerprint=item.fingerprint,
-                kind=item.kind,
+                fingerprint=task.handle.fingerprint if job is not None else None,
+                kind=task.kind,
                 cached=bool(record.get("cached")),
                 by=worker,
                 error=(
@@ -530,70 +271,29 @@ class DistributedExecutor:
                     if record["ok"]
                     else str(record.get("error") or "task failed")
                 ),
-                trace_id=item.trace_id,
-                parent_span=item.span_id,
+                trace_id=job.trace_id if job is not None else None,
+                parent_span=job.span_id if job is not None else None,
             )
-        if record["ok"]:
-            if item.kind == "job":
-                try:
-                    self.cache.put_result(item.handle.fingerprint, record["value"])
-                except Exception:
-                    pass  # best-effort, like the pool's completion path
-                item.handle._complete(record["value"], bool(record.get("cached")))
-            else:
-                item.handle._complete(record["value"])
-        else:
-            error = record.get("exception")
-            if error is None:
-                error = ReproError(str(record.get("error") or "task failed"))
-            item.handle._fail(error)
+        self._deliver(task, record.get("value"), bool(record.get("cached")), error)
 
     # -- introspection / lifecycle ----------------------------------------
 
+    def _scheduler_stats_locked(self) -> dict:
+        return {
+            "inflight": len(self._tasks),
+            "requeues": self._requeues,
+            "local_workers": len(self._processes),
+        }
+
     def stats(self) -> dict:
         """Parent cache + broker depth + latest per-worker snapshots."""
-        with self._lock:
-            workers = {
-                worker: dict(snap) for worker, snap in self._worker_stats.items()
-            }
-            inflight = len(self._inflight)
-            requeues = self._requeues
-        totals = {
-            "artifact_builds": sum(
-                s.get("artifact_builds", 0) for s in workers.values()
-            ),
-            "result_hits": sum(
-                s.get("results", {}).get("hits", 0) for s in workers.values()
-            ),
-            "result_misses": sum(
-                s.get("results", {}).get("misses", 0) for s in workers.values()
-            ),
-            "artifact_hits": sum(
-                s.get("artifacts", {}).get("hits", 0) for s in workers.values()
-            ),
-            "selection_hits": sum(
-                s.get("selection", {}).get("hits", 0) for s in workers.values()
-            ),
-        }
+        stats = super().stats()
         try:
-            broker_stats = self.broker.stats()
+            stats["broker"] = self.broker.stats()
         except Exception as exc:
             # An unreachable broker must not look like an idle one:
             # surface the failure as a string instead of empty depths.
-            broker_stats = {"broker_error": f"{type(exc).__name__}: {exc}"}
-        stats = {
-            "parent": self.cache.snapshot(),
-            "workers": workers,
-            "workers_total": totals,
-            "broker": broker_stats,
-            "scheduler": {
-                "inflight": inflight,
-                "requeues": requeues,
-                "local_workers": len(self._processes),
-            },
-        }
-        if self.admission is not None:
-            stats["admission"] = self.admission.snapshot()
+            stats["broker"] = {"broker_error": f"{type(exc).__name__}: {exc}"}
         return stats
 
     def shutdown(self, wait: bool = True) -> None:
@@ -605,14 +305,8 @@ class DistributedExecutor:
         Handles still in flight fail with a shutdown error rather than
         hanging forever.
         """
-        with self._space:
-            if self._closed:
-                return
-            self._closed = True
-            leftovers = list(self._inflight.values())
-            self._inflight.clear()
-            self._active.clear()
-            self._space.notify_all()
+        if not self._close():
+            return
         if self._processes:
             try:
                 self.broker.request_stop()
@@ -631,13 +325,5 @@ class DistributedExecutor:
                 pass
         if wait:
             self._poller.join(timeout=5.0)
-        for item in leftovers:
-            item.handle._fail(ReproError("executor is shut down"))
         if self._owns_broker:
             self.broker.close()
-
-    def __enter__(self) -> "DistributedExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()

@@ -7,7 +7,7 @@ directory renames.  The broker runs in WAL mode, whose shared-memory
 index only works between processes on the same machine (SQLite
 documents WAL as unsupported over NFS and other network filesystems) —
 for multi-host fleets use the ``fs://`` broker on a shared directory
-or the ``redis://`` broker instead.  ``BEGIN IMMEDIATE`` transactions make
+instead.  ``BEGIN IMMEDIATE`` transactions make
 claiming exclusive: exactly one worker turns a ``queued`` row into a
 ``claimed`` one, and exactly one requeue sweep turns an expired
 ``claimed`` row back (guarded by a state+worker match, so concurrent

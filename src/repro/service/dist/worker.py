@@ -33,7 +33,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.obs.trace import new_span_id, span_scope
+from repro.obs.trace import as_tracer, new_span_id, span_scope
 from repro.service.cache import ArtifactCache
 from repro.service.dist.broker import (
     DEFAULT_MAX_ATTEMPTS,
@@ -234,7 +234,7 @@ def worker_loop(
     Parameters
     ----------
     broker:
-        A broker instance or URL (``fs://``, ``sqlite://``, ``redis://``).
+        A broker instance or URL (``fs://`` or ``sqlite://``).
     cache / cache_dir:
         The worker-local artifact cache, or the shared on-disk store
         directory to back a fresh one with (the fleet's result tier).
@@ -301,18 +301,9 @@ def worker_loop(
         stats = WorkerStats(worker=worker_id or default_worker_id())
     elif not stats.worker:
         stats.worker = worker_id or default_worker_id()
-    tracer = None
-    if trace is not None:
-        if hasattr(trace, "emit"):
-            tracer = trace
-        else:
-            from repro.obs.trace import TraceWriter
-
-            tracer = TraceWriter(
-                str(trace), worker=stats.worker, rotate_mb=trace_rotate_mb
-            )
-        if getattr(cache, "tracer", None) is None:
-            cache.tracer = tracer
+    tracer = as_tracer(trace, worker=stats.worker, rotate_mb=trace_rotate_mb)
+    if tracer is not None and getattr(cache, "tracer", None) is None:
+        cache.tracer = tracer
     if retry is None:
         retry = RetryPolicy(
             attempts=3, base_delay=poll_interval, seed=stats.worker

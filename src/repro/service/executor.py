@@ -13,15 +13,21 @@ objects:
   are built at most once per (worker, log) and every further job on
   that log pays only the constraint-dependent work.
 
+The pool and :class:`~repro.service.dist.executor.DistributedExecutor`
+share one dispatch core (:class:`_DispatchCore`): the submit front door
+(parent-cache hits, tenant quotas, ``max_load`` shedding, coalescing,
+``max_pending`` backpressure) and completion bookkeeping.  Each keeps
+only its transport — here, a priority heap feeding per-worker
+sub-pools.
+
 The pool schedules **cache-aware**: each worker is its own
-single-process sub-pool, and jobs are routed by their fingerprint's log
-prefix — the first job on a log claims the least-loaded worker, every
-later job on that log goes to the same worker (waiting for it rather
-than rebuilding the log's artifacts elsewhere).  This caps artifact
-builds at one per *log* instead of one per (worker, log); the
-``scheduler`` block of :meth:`PoolExecutor.stats` counts the affinity
-routing, and ``affinity=False`` restores spread-to-any-free-worker
-routing.
+single-process sub-pool, and jobs are routed by their artifact prefix
+(:func:`job_prefix`) — the first job on a log claims the least-loaded
+worker, every later job on that log goes to the same worker (waiting
+for it rather than rebuilding the log's artifacts elsewhere).  This
+caps artifact builds at one per *log* instead of one per (worker, log);
+the ``scheduler`` block of :meth:`PoolExecutor.stats` counts the
+affinity routing.
 
 Both executors also accept generic work via ``submit_call``: the
 function runs with the executor's cache injected as a ``cache`` keyword
@@ -50,7 +56,13 @@ from dataclasses import dataclass
 from repro.constraints.aggregates import clear_extraction_cache
 from repro.core.gecco import AbstractionResult, Gecco, prepare_artifacts, resolve_engine
 from repro.exceptions import ReproError
-from repro.obs.trace import child_span_id, new_span_id, new_trace_id, span_scope
+from repro.obs.trace import (
+    as_tracer,
+    child_span_id,
+    new_span_id,
+    new_trace_id,
+    span_scope,
+)
 from repro.service.cache import ArtifactCache
 from repro.service.jobs import AbstractionJob
 from repro.service.resilience import AdmissionController, DeadlineExceeded, Overloaded
@@ -305,6 +317,18 @@ def _fingerprinted_handle(job: AbstractionJob) -> JobHandle:
         return handle
 
 
+def job_prefix(job: AbstractionJob) -> tuple:
+    """The job's artifact-cache log prefix: its routing key.
+
+    Jobs sharing a prefix share their expensive per-log artifacts.  The
+    pool routes on it directly; the distributed executor digests it into
+    a broker affinity key.
+    """
+    config = job.config
+    engine = resolve_engine(config.engine, warn=False)
+    return job.fingerprint().artifact_key(config.instance_policy, engine)
+
+
 class SequentialExecutor:
     """Deterministic in-process executor (jobs run at submit time)."""
 
@@ -442,175 +466,87 @@ def _pool_worker_call(fn, args, kwargs):
     return value, os.getpid(), cache.snapshot()
 
 
-#: Queue-entry kinds.
+#: Task kinds.
 _KIND_JOB, _KIND_CALL = "job", "call"
 
 
-@dataclass
-class _QueueItem:
-    """One queued unit of work (a job or a generic call)."""
+@dataclass(eq=False)
+class _Task:
+    """One job or generic call registered with a dispatch core."""
 
     kind: str
-    payload: object
     handle: object
+    #: The job, or a call's ``(fn, args, kwargs)``.
+    payload: object
+    priority: int = 0
+    #: Registration order: among equal priorities the earlier task ranks
+    #: first, and the later one is shed first.
+    seq: int = 0
+    #: Set once a worker holds the task; started tasks are never shed,
+    #: and shutdown lets them finish.
+    started: bool = False
+    #: Pool transport: the routing key (a job's artifact prefix).
     prefix: "tuple | None" = None
+    #: Distributed transport: the broker envelope.
+    envelope: object = None
     claimed_at: "float | None" = None
     claim_span: "str | None" = None
 
+    @property
+    def job(self) -> "AbstractionJob | None":
+        return self.payload if self.kind == _KIND_JOB else None
 
-class PoolExecutor:
-    """Multiprocessing executor: priorities, backpressure, worker caches.
 
-    Parameters
-    ----------
-    workers:
-        Worker-process count (default: CPU count, at least 2).  Each
-        worker is its own single-process sub-pool, which is what makes
-        cache-aware routing possible.
-    cache:
-        Parent-side :class:`ArtifactCache` used to serve repeat
-        submissions without touching a worker at all.
-    max_pending:
-        Bound on queued-plus-running jobs; ``submit`` blocks once the
-        bound is reached (backpressure towards producers).
-    disk_dir:
-        Optional shared on-disk result store; both the parent cache and
-        every worker cache read and write it.
-    mp_context:
-        ``multiprocessing`` start method.  Default: ``"fork"`` where
-        available (cheap worker startup on Linux), else ``"spawn"``
-        (Windows, macOS).
-    affinity:
-        Cache-aware scheduling (default on): jobs sharing a log-prefix
-        fingerprint are routed to the worker that first claimed the
-        prefix, maximizing per-worker artifact reuse.  ``False`` routes
-        every job to any free worker.
-    max_load / admission:
-        Admission control (see :mod:`repro.service.resilience`).
-        ``max_load`` bounds queued-plus-running *jobs*: past the bound,
-        the lowest-priority queued job is shed with a typed
-        :class:`~repro.service.resilience.Overloaded` failure (the
-        incoming job itself when nothing queued ranks below it) instead
-        of queuing unboundedly.  ``admission`` supplies per-tenant
-        token-bucket quotas (and may carry ``max_load`` itself).
-        Generic calls are exempt — shedding a Step-2 component solve
-        would fail a job already admitted.
+class _DispatchCore:
+    """The submit front door and bookkeeping of the parallel executors.
+
+    The core serves parent-cache hits, applies tenant quotas and
+    ``max_load`` shedding, coalesces identical in-flight jobs, blocks at
+    ``max_pending``, and settles finished tasks.  All bounds are
+    checked, and a task is registered, in one critical section, so
+    concurrent submitters can never overshoot them.  Shutdown fails
+    every task no worker has started.
+
+    A transport moves registered tasks to workers and back.  It
+    implements :meth:`_prepare` (called without the lock; may be slow),
+    :meth:`_launch` (called once the task is registered; emits
+    ``queued``), :meth:`_scheduler_stats_locked` and ``shutdown``, and
+    settles each task with :meth:`_release` then :meth:`_deliver`.
     """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        cache: ArtifactCache | None = None,
-        max_pending: int | None = None,
-        disk_dir=None,
-        mp_context: str | None = None,
-        worker_max_artifacts: int = 8,
-        worker_max_results: int = 64,
-        affinity: bool = True,
-        max_load: int | None = None,
-        admission: AdmissionController | None = None,
-        trace=None,
-    ):
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self.workers = workers if workers is not None else max(2, os.cpu_count() or 2)
-        if self.workers < 1:
-            raise ReproError(f"workers must be >= 1, got {workers}")
+    def __init__(self, cache, disk_dir, max_pending, max_load, admission, trace,
+                 tracer_name: str):
         if max_pending is not None and max_pending < 1:
             raise ReproError(f"max_pending must be >= 1, got {max_pending}")
         self.cache = cache if cache is not None else ArtifactCache(disk_dir=disk_dir)
-        self.affinity = affinity
         if admission is None and max_load is not None:
             admission = AdmissionController(max_load=max_load)
         self.admission = admission
-        # trace accepts a path (each worker process opens its own
-        # O_APPEND writer on it) or an existing parent-side TraceWriter.
-        self.tracer = None
-        trace_path: str | None = None
-        if trace is not None:
-            if hasattr(trace, "emit"):
-                self.tracer = trace
-                trace_path = getattr(trace, "path", None)
-            else:
-                trace_path = str(trace)
-                from repro.obs.trace import TraceWriter
-
-                self.tracer = TraceWriter(trace_path, worker=f"pool-parent-{os.getpid()}")
-            if getattr(self.cache, "tracer", None) is None:
-                self.cache.tracer = self.tracer
-        context = multiprocessing.get_context(mp_context)
-        initargs = (
-            worker_max_artifacts,
-            worker_max_results,
-            str(disk_dir) if disk_dir is not None else None,
-            trace_path,
-            getattr(self.tracer, "rotate_mb", None),
-        )
-        self._pools = [
-            ProcessPoolExecutor(
-                max_workers=1,
-                mp_context=context,
-                initializer=_pool_worker_init,
-                initargs=initargs,
-            )
-            for _ in range(self.workers)
-        ]
+        # trace accepts a path (worker processes open their own O_APPEND
+        # writers on it) or an existing parent-side TraceWriter.
+        self.tracer = as_tracer(trace, worker=tracer_name)
+        if self.tracer is not None and getattr(self.cache, "tracer", None) is None:
+            self.cache.tracer = self.tracer
+        self._max_pending = max_pending
         self._lock = threading.Lock()
         self._space = threading.Condition(self._lock)
-        self._heap: list[tuple] = []
-        self._ticket = itertools.count()
-        self._busy = [False] * self.workers
-        self._claims = [0] * self.workers
-        self._prefix_owner: dict[tuple, int] = {}
-        self._affinity_hits = 0
-        self._prefix_claims = 0
-        self._inflight = 0
-        self._pending = 0
-        self._max_pending = max_pending
-        self._closed = False
-        self._worker_stats: dict[int, dict] = {}
+        self._seq = itertools.count(1)
+        #: seq -> every registered task, queued or running (the load).
+        self._tasks: dict[int, _Task] = {}
         #: fingerprint -> primary in-flight handle (request coalescing).
         self._active: dict[str, JobHandle] = {}
+        self._worker_stats: dict[str, dict] = {}
+        self._closed = False
 
     # -- submission --------------------------------------------------------
 
-    @staticmethod
-    def _job_prefix(job: AbstractionJob) -> tuple:
-        """The job's artifact-cache log prefix (the routing key)."""
-        config = job.config
-        engine = resolve_engine(config.engine, warn=False)
-        return job.fingerprint().artifact_key(config.instance_policy, engine)
-
-    def _evict_lowest_locked(self, rank: int) -> "_QueueItem | None":
-        """Pop the lowest-priority queued *job* ranking below ``rank``.
-
-        The victim of a load shed: lowest priority, latest enqueued on
-        ties.  Returns ``None`` when nothing queued ranks strictly
-        below ``rank`` (the incoming job is then the victim) — ties
-        favor the already-queued job, keeping shed order deterministic.
-        Generic calls and running work are never evicted.
-        """
-        worst_index: int | None = None
-        worst_key: "tuple | None" = None
-        for index, (neg_rank, ticket, item) in enumerate(self._heap):
-            if item.kind != _KIND_JOB:
-                continue
-            key = (neg_rank, ticket)
-            if worst_key is None or key > worst_key:
-                worst_key, worst_index = key, index
-        if worst_index is None or -self._heap[worst_index][0] >= rank:
-            return None
-        victim = self._heap.pop(worst_index)[2]
-        heapq.heapify(self._heap)
-        return victim
-
     def submit(self, job: AbstractionJob, priority: int | None = None) -> JobHandle:
-        """Enqueue ``job``; higher ``priority`` dispatches first.
+        """Enqueue ``job``; higher ``priority`` runs first.
 
-        Blocks while the pending queue is at ``max_pending``.  A parent
-        cache hit completes the handle immediately without occupying a
-        queue slot (and without charging the tenant's quota).
+        A parent cache hit completes the handle immediately, without
+        occupying a slot or charging the tenant's quota; an identical
+        in-flight job coalesces (one computation, many awaiters).
+        Blocks while ``max_pending`` tasks are queued or running.
 
         With admission control configured, policy outcomes never raise
         from ``submit``: a shed job's handle fails with a typed
@@ -619,7 +555,7 @@ class PoolExecutor:
         """
         job.deadline()  # pin the absolute budget at submit time
         handle = _fingerprinted_handle(job)  # resolves/digests in the parent
-        if handle.done():
+        if handle.done():  # fingerprinting failed (e.g. unreadable log)
             return handle
         tracer = self.tracer
         mint_submit_span(job, tracer)
@@ -644,334 +580,207 @@ class PoolExecutor:
             handle._complete(hit, True)
             return handle
         if self.admission is not None and not self.admission.admit(job.tenant):
-            if tracer is not None:
-                tracer.emit(
-                    "shed",
-                    fingerprint=handle.fingerprint,
-                    cause="tenant_quota",
-                    trace_id=job.trace_id,
-                    parent_span=job.span_id,
-                )
-            handle._fail(
-                Overloaded(f"tenant {job.tenant!r} is over its admission quota")
+            self._shed(
+                job, handle, "tenant_quota",
+                f"tenant {job.tenant!r} is over its admission quota",
             )
             return handle
-        rank = job.priority if priority is None else priority
-        item = _QueueItem(
-            kind=_KIND_JOB, payload=job, handle=handle, prefix=self._job_prefix(job)
-        )
-        victim: "_QueueItem | None" = None
-        max_load = self.admission.max_load if self.admission is not None else None
-        with self._space:
-            if self._closed:
-                raise ReproError("executor is shut down")
-            # Coalesce onto an identical in-flight job: one computation,
-            # many awaiters (request deduplication under load).
-            primary = self._active.get(handle.fingerprint)
-            if primary is not None:
-                primary._attach(handle)
-                return handle
-            if max_load is not None and self._pending >= max_load:
-                victim = self._evict_lowest_locked(rank)
-                self.admission.count_load_shed()
-                if victim is None:
-                    shed_incoming = True
-                else:
-                    shed_incoming = False
-                    self._pending -= 1
-                    self._active.pop(victim.handle.fingerprint, None)
-            else:
-                shed_incoming = False
-            if not shed_incoming:
-                while (
-                    self._max_pending is not None
-                    and self._pending >= self._max_pending
-                ):
-                    self._space.wait()
-                    if self._closed:
-                        raise ReproError("executor is shut down")
-                    primary = self._active.get(handle.fingerprint)
-                    if primary is not None:
-                        primary._attach(handle)
-                        return handle
-                self._pending += 1
-                self._active[handle.fingerprint] = handle
-                heapq.heappush(self._heap, (-rank, next(self._ticket), item))
-                if tracer is not None:
-                    tracer.emit(
-                        "queued",
-                        fingerprint=handle.fingerprint,
-                        trace_id=job.trace_id,
-                        parent_span=job.span_id,
-                    )
-        if victim is not None:
-            if tracer is not None:
-                tracer.emit(
-                    "shed",
-                    fingerprint=victim.handle.fingerprint,
-                    cause="max_load_evicted",
-                    trace_id=victim.payload.trace_id,
-                    parent_span=victim.payload.span_id,
-                )
-            victim.handle._fail(
-                Overloaded(
-                    f"shed at max_load={max_load} by higher-priority submission"
-                )
-            )
-        if shed_incoming:
-            if tracer is not None:
-                tracer.emit(
-                    "shed",
-                    fingerprint=handle.fingerprint,
-                    cause="max_load",
-                    trace_id=job.trace_id,
-                    parent_span=job.span_id,
-                )
-            handle._fail(
-                Overloaded(f"executor at max_load={max_load}; job shed")
-            )
-            return handle
-        self._dispatch()
+        task = _Task(_KIND_JOB, handle, job, job.priority if priority is None else priority)
+        if self._register(task):
+            self._launch(task)
         return handle
 
     def submit_call(self, fn, *args, priority: int = 0, **kwargs) -> CallHandle:
-        """Enqueue a generic call; workers run it with their cache.
+        """Enqueue a generic call; a worker runs it with its cache injected.
 
         ``fn`` must be picklable (a module-level function) and accept a
         ``cache`` keyword — the worker-local
         :class:`~repro.service.cache.ArtifactCache` is injected, which
         is how Step-2 component solves reuse each worker's selection
-        tier.  Calls share the priority queue and the backpressure
-        bound with jobs but have no routing prefix (any free worker).
+        tier.  Calls share the priority order and the backpressure
+        bound with jobs but have no routing key (any free worker), and
+        are never shed — shedding a Step-2 component solve would fail a
+        job already admitted.
         """
         handle = CallHandle(getattr(fn, "__name__", "call"))
-        item = _QueueItem(kind=_KIND_CALL, payload=(fn, args, kwargs), handle=handle)
-        with self._space:
-            if self._closed:
-                raise ReproError("executor is shut down")
-            while (
-                self._max_pending is not None and self._pending >= self._max_pending
-            ):
-                self._space.wait()
-                if self._closed:
-                    raise ReproError("executor is shut down")
-            self._pending += 1
-            heapq.heappush(self._heap, (-priority, next(self._ticket), item))
-        self._dispatch()
+        task = _Task(_KIND_CALL, handle, (fn, args, kwargs), priority)
+        if self._register(task):
+            self._launch(task)
         return handle
-
-    # -- scheduling --------------------------------------------------------
-
-    def _pick_locked(self) -> "tuple[_QueueItem, int] | None":
-        """Choose the next dispatchable queue item and its worker.
-
-        Scans the queue in priority order.  Items whose prefix is owned
-        by a busy worker are kept queued (waiting for their warm worker
-        beats rebuilding the log's artifacts on a cold one); unowned
-        prefixes claim the least-loaded free worker.
-        """
-        free = [index for index, busy in enumerate(self._busy) if not busy]
-        if not free or not self._heap:
-            return None
-        deferred: list[tuple] = []
-        chosen: "tuple[_QueueItem, int] | None" = None
-        while self._heap:
-            rank, ticket, item = heapq.heappop(self._heap)
-            prefix = item.prefix if self.affinity else None
-            if prefix is None:
-                worker = min(free, key=lambda index: (self._claims[index], index))
-            else:
-                owner = self._prefix_owner.get(prefix)
-                if owner is None:
-                    worker = min(free, key=lambda index: (self._claims[index], index))
-                    self._prefix_owner[prefix] = worker
-                    self._claims[worker] += 1
-                    self._prefix_claims += 1
-                elif self._busy[owner]:
-                    deferred.append((rank, ticket, item))
-                    continue
-                else:
-                    worker = owner
-                    self._affinity_hits += 1
-            chosen = (item, worker)
-            break
-        for entry in deferred:
-            heapq.heappush(self._heap, entry)
-        return chosen
-
-    def _dispatch(self) -> None:
-        """Feed queued work to free workers.
-
-        Pops and submits one item at a time, releasing the lock around
-        the sub-pool ``submit``: ``add_done_callback`` may invoke
-        ``_on_done`` inline (already-failed future on a broken pool),
-        and ``_on_done`` re-acquires the non-reentrant lock.
-        """
-        while True:
-            with self._space:
-                picked = self._pick_locked()
-                if picked is None:
-                    return
-                item, worker = picked
-                self._busy[worker] = True
-                self._inflight += 1
-            if item.kind == _KIND_JOB:
-                # A job whose budget ran out while queued fails typed at
-                # dispatch instead of occupying a worker to no purpose.
-                deadline = item.payload.deadline()
-                if deadline is not None and deadline.expired():
-                    with self._space:
-                        self._busy[worker] = False
-                        self._inflight -= 1
-                        self._pending -= 1
-                        self._active.pop(item.handle.fingerprint, None)
-                        self._space.notify_all()
-                    if self.tracer is not None:
-                        self.tracer.emit(
-                            "deadline_exceeded",
-                            fingerprint=item.handle.fingerprint,
-                            stage="queued",
-                            trace_id=item.payload.trace_id,
-                            parent_span=item.payload.span_id,
-                        )
-                    item.handle._fail(
-                        DeadlineExceeded(
-                            "deadline exceeded while queued "
-                            f"(over budget by {-deadline.remaining():.3f}s)"
-                        )
-                    )
-                    continue
-            if self.tracer is not None:
-                item.claimed_at = time.perf_counter()
-                job = item.payload if item.kind == _KIND_JOB else None
-                if job is not None and job.trace_id is not None:
-                    item.claim_span = new_span_id()
-                self.tracer.emit(
-                    "claimed",
-                    fingerprint=(
-                        item.handle.fingerprint if item.kind == _KIND_JOB else None
-                    ),
-                    kind=item.kind,
-                    pool_worker=worker,
-                    attempt=0,
-                    trace_id=job.trace_id if job is not None else None,
-                    span_id=item.claim_span,
-                    parent_span=job.span_id if job is not None else None,
-                )
-            try:
-                if item.kind == _KIND_JOB:
-                    future = self._pools[worker].submit(
-                        _pool_worker_run, item.payload, item.claim_span
-                    )
-                else:
-                    fn, args, kwargs = item.payload
-                    future = self._pools[worker].submit(
-                        _pool_worker_call, fn, args, kwargs
-                    )
-            except Exception as exc:
-                with self._space:
-                    self._busy[worker] = False
-                    self._inflight -= 1
-                    self._pending -= 1
-                    if item.kind == _KIND_JOB:
-                        self._active.pop(item.handle.fingerprint, None)
-                    self._space.notify_all()
-                item.handle._fail(exc)
-                continue
-            future.add_done_callback(
-                lambda future, item=item, worker=worker: self._on_done(
-                    item, worker, future
-                )
-            )
-
-    def _on_done(self, item: _QueueItem, worker: int, future) -> None:
-        with self._space:
-            self._busy[worker] = False
-            self._inflight -= 1
-            self._pending -= 1
-            if item.kind == _KIND_JOB:
-                self._active.pop(item.handle.fingerprint, None)
-            self._space.notify_all()
-        self._dispatch()
-        try:
-            payload = future.result()
-        except BaseException as exc:  # noqa: BLE001 - relayed to the awaiter
-            if self.tracer is not None:
-                job = item.payload if item.kind == _KIND_JOB else None
-                self.tracer.emit(
-                    "done",
-                    fingerprint=(
-                        item.handle.fingerprint if item.kind == _KIND_JOB else None
-                    ),
-                    kind=item.kind,
-                    seconds=(
-                        time.perf_counter() - item.claimed_at
-                        if item.claimed_at is not None
-                        else None
-                    ),
-                    error=f"{type(exc).__name__}: {exc}",
-                    trace_id=job.trace_id if job is not None else None,
-                    parent_span=job.span_id if job is not None else None,
-                )
-            item.handle._fail(exc)
-            return
-        if item.kind == _KIND_JOB:
-            result, cached, pid, worker_snapshot = payload
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "done",
-                    fingerprint=item.handle.fingerprint,
-                    seconds=(
-                        time.perf_counter() - item.claimed_at
-                        if item.claimed_at is not None
-                        else None
-                    ),
-                    cached=cached,
-                    pool_pid=pid,
-                    trace_id=item.payload.trace_id,
-                    parent_span=item.payload.span_id,
-                )
-            try:
-                with self._lock:
-                    self._worker_stats[pid] = worker_snapshot
-                self.cache.put_result(item.handle.fingerprint, result)
-            except Exception:
-                # Bookkeeping is best-effort: the computed result must
-                # reach the awaiter even if parent-side caching fails —
-                # an exception here would otherwise be swallowed by the
-                # done-callback machinery and strand result() forever.
-                pass
-            item.handle._complete(result, cached)
-        else:
-            value, pid, worker_snapshot = payload
-            try:
-                with self._lock:
-                    self._worker_stats[pid] = worker_snapshot
-            except Exception:
-                pass
-            item.handle._complete(value)
 
     def map(self, jobs) -> list[AbstractionResult]:
         """Submit all jobs, await all results (submission order)."""
         handles = [self.submit(job) for job in jobs]
         return [handle.result() for handle in handles]
 
+    def _register(self, task: _Task) -> bool:
+        """Admit and register ``task``, checking every bound under one lock.
+
+        Returns ``False`` when a job coalesced onto an in-flight twin or
+        was shed itself.  Blocks while ``max_pending`` tasks are
+        registered; raises :class:`ReproError` once shut down.
+        """
+        self._prepare(task)
+        job = task.job
+        max_load = (
+            self.admission.max_load
+            if job is not None and self.admission is not None
+            else None
+        )
+        victims: list[_Task] = []
+        try:
+            with self._space:
+                while True:
+                    if self._closed:
+                        raise ReproError("executor is shut down")
+                    if job is not None:
+                        primary = self._active.get(task.handle.fingerprint)
+                        if primary is not None:
+                            primary._attach(task.handle)
+                            return False
+                    if max_load is not None and len(self._tasks) >= max_load:
+                        self.admission.count_load_shed()
+                        victim = self._evict_lowest_locked(task.priority)
+                        if victim is None:
+                            break
+                        victims.append(victim)
+                    if self._max_pending is None or len(self._tasks) < self._max_pending:
+                        task.seq = next(self._seq)
+                        self._tasks[task.seq] = task
+                        if job is not None:
+                            self._active[task.handle.fingerprint] = task.handle
+                        return True
+                    self._space.wait()
+        finally:
+            for victim in victims:
+                self._shed(
+                    victim.payload, victim.handle, "max_load_evicted",
+                    f"shed at max_load={max_load} by higher-priority submission",
+                )
+        self._shed(
+            job, task.handle, "max_load", f"executor at max_load={max_load}; job shed"
+        )
+        return False
+
+    def _evict_lowest_locked(self, rank: int) -> "_Task | None":
+        """Unregister the lowest-priority waiting *job* ranking below ``rank``.
+
+        The victim of a load shed: lowest priority, latest registered on
+        ties.  Returns ``None`` when nothing waiting ranks strictly
+        below ``rank`` (the incoming job is then the victim) — ties
+        favor the registered job, keeping shed order deterministic.
+        Generic calls and started tasks are never evicted.
+        """
+        victim = max(
+            (
+                task
+                for task in self._tasks.values()
+                if task.kind == _KIND_JOB and not task.started
+            ),
+            key=lambda task: (-task.priority, task.seq),
+            default=None,
+        )
+        if victim is None or victim.priority >= rank:
+            return None
+        self._release_locked(victim)
+        return victim
+
+    def _shed(self, job: AbstractionJob, handle: JobHandle, cause: str,
+              message: str) -> None:
+        """Fail a job's handle with a typed :class:`Overloaded`."""
+        if self.tracer is not None:
+            self.tracer.emit(
+                "shed",
+                fingerprint=handle.fingerprint,
+                cause=cause,
+                trace_id=job.trace_id,
+                parent_span=job.span_id,
+            )
+        handle._fail(Overloaded(message))
+
+    # -- transport hooks ---------------------------------------------------
+
+    def _prepare(self, task: _Task) -> None:
+        """Attach transport data to a task about to register."""
+
+    def _launch(self, task: _Task) -> None:
+        """Start moving a registered task towards a worker."""
+        raise NotImplementedError
+
+    def _scheduler_stats_locked(self) -> dict:
+        """The transport's ``scheduler`` block of :meth:`stats`."""
+        raise NotImplementedError
+
+    # -- completion --------------------------------------------------------
+
+    def _release_locked(self, task: _Task) -> bool:
+        """Unregister ``task``; ``False`` when something else already did."""
+        if self._tasks.pop(task.seq, None) is None:
+            return False
+        if task.kind == _KIND_JOB:
+            self._active.pop(task.handle.fingerprint, None)
+        self._space.notify_all()
+        return True
+
+    def _release(self, task: _Task) -> bool:
+        with self._space:
+            return self._release_locked(task)
+
+    def _deliver(self, task: _Task, value=None, cached: bool = False,
+                 error: BaseException | None = None) -> None:
+        """Settle a released task's handle; job results enter the parent cache."""
+        if error is not None:
+            task.handle._fail(error)
+            return
+        if task.kind == _KIND_JOB:
+            try:
+                self.cache.put_result(task.handle.fingerprint, value)
+            except Exception:
+                # Bookkeeping is best-effort: the computed result must
+                # reach the awaiter even if parent-side caching fails.
+                pass
+        task.handle._complete(value, cached)
+
+    def _expire(self, task: _Task, stage: str, message: str, **fields) -> None:
+        """Fail a job whose deadline ran out before a worker finished it."""
+        if not self._release(task):
+            return
+        job = task.payload
+        if self.tracer is not None:
+            self.tracer.emit(
+                "deadline_exceeded",
+                fingerprint=task.handle.fingerprint,
+                stage=stage,
+                trace_id=job.trace_id,
+                parent_span=job.span_id,
+                **fields,
+            )
+        task.handle._fail(DeadlineExceeded(message))
+
+    def _record_worker(self, worker, snapshot: dict) -> None:
+        with self._lock:
+            self._worker_stats[str(worker)] = dict(snapshot)
+
     # -- introspection / lifecycle ----------------------------------------
 
     def stats(self) -> dict:
         """Parent cache counters plus the latest per-worker snapshots."""
         with self._lock:
-            workers = {str(pid): dict(snap) for pid, snap in self._worker_stats.items()}
-            scheduler = {
-                "affinity": self.affinity,
-                "prefix_claims": self._prefix_claims,
-                "affinity_hits": self._affinity_hits,
-            }
+            workers = {key: dict(snap) for key, snap in self._worker_stats.items()}
+            scheduler = self._scheduler_stats_locked()
         totals = {
-            "artifact_builds": sum(s["artifact_builds"] for s in workers.values()),
-            "result_hits": sum(s["results"]["hits"] for s in workers.values()),
-            "result_misses": sum(s["results"]["misses"] for s in workers.values()),
-            "artifact_hits": sum(s["artifacts"]["hits"] for s in workers.values()),
+            "artifact_builds": sum(
+                s.get("artifact_builds", 0) for s in workers.values()
+            ),
+            "result_hits": sum(
+                s.get("results", {}).get("hits", 0) for s in workers.values()
+            ),
+            "result_misses": sum(
+                s.get("results", {}).get("misses", 0) for s in workers.values()
+            ),
+            "artifact_hits": sum(
+                s.get("artifacts", {}).get("hits", 0) for s in workers.values()
+            ),
             "selection_hits": sum(
                 s.get("selection", {}).get("hits", 0) for s in workers.values()
             ),
@@ -986,16 +795,302 @@ class PoolExecutor:
             stats["admission"] = self.admission.snapshot()
         return stats
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting jobs and shut the pool down."""
-        with self._space:
-            self._closed = True
-            self._space.notify_all()
-        for pool in self._pools:
-            pool.shutdown(wait=wait)
+    def _close(self) -> bool:
+        """Refuse new work and fail every task no worker has started.
 
-    def __enter__(self) -> "PoolExecutor":
+        Returns ``False`` when the executor was already closed.
+        """
+        with self._space:
+            if self._closed:
+                return False
+            self._closed = True
+            leftovers = [task for task in self._tasks.values() if not task.started]
+            for task in leftovers:
+                self._release_locked(task)
+            self._space.notify_all()
+        for task in leftovers:
+            task.handle._fail(ReproError("executor is shut down"))
+        return True
+
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
+
+
+class PoolExecutor(_DispatchCore):
+    """Multiprocessing executor: priorities, backpressure, worker caches.
+
+    Parameters
+    ----------
+    workers:
+        Worker-process count (default: CPU count, at least 2).  Each
+        worker is its own single-process sub-pool, which is what makes
+        cache-aware routing possible.
+    cache:
+        Parent-side :class:`ArtifactCache` used to serve repeat
+        submissions without touching a worker at all.
+    max_pending:
+        Bound on queued-plus-running tasks; ``submit`` blocks once the
+        bound is reached (backpressure towards producers).
+    disk_dir:
+        Optional shared on-disk result store; both the parent cache and
+        every worker cache read and write it.
+    mp_context:
+        ``multiprocessing`` start method.  Default: ``"fork"`` where
+        available (cheap worker startup on Linux), else ``"spawn"``
+        (Windows, macOS).
+    max_load / admission:
+        Admission control (see :mod:`repro.service.resilience`).
+        ``max_load`` bounds queued-plus-running tasks: past the bound,
+        the lowest-priority queued job is shed with a typed
+        :class:`~repro.service.resilience.Overloaded` failure (the
+        incoming job itself when nothing queued ranks below it) instead
+        of queuing unboundedly.  ``admission`` supplies per-tenant
+        token-bucket quotas (and may carry ``max_load`` itself).
+        Generic calls are exempt — shedding a Step-2 component solve
+        would fail a job already admitted.
+    trace:
+        A JSONL trace path (each worker process opens its own writer on
+        it) or an existing :class:`~repro.obs.trace.TraceWriter`.
+    """
+
+    def __init__(
+        self,
+        workers: int | None = None,
+        cache: ArtifactCache | None = None,
+        max_pending: int | None = None,
+        disk_dir=None,
+        mp_context: str | None = None,
+        worker_max_artifacts: int = 8,
+        worker_max_results: int = 64,
+        max_load: int | None = None,
+        admission: AdmissionController | None = None,
+        trace=None,
+    ):
+        if mp_context is None:
+            methods = multiprocessing.get_all_start_methods()
+            mp_context = "fork" if "fork" in methods else "spawn"
+        self.workers = workers if workers is not None else max(2, os.cpu_count() or 2)
+        if self.workers < 1:
+            raise ReproError(f"workers must be >= 1, got {workers}")
+        super().__init__(
+            cache, disk_dir, max_pending, max_load, admission, trace,
+            tracer_name=f"pool-parent-{os.getpid()}",
+        )
+        context = multiprocessing.get_context(mp_context)
+        initargs = (
+            worker_max_artifacts,
+            worker_max_results,
+            str(disk_dir) if disk_dir is not None else None,
+            getattr(self.tracer, "path", None),
+            getattr(self.tracer, "rotate_mb", None),
+        )
+        self._pools = [
+            ProcessPoolExecutor(
+                max_workers=1,
+                mp_context=context,
+                initializer=_pool_worker_init,
+                initargs=initargs,
+            )
+            for _ in range(self.workers)
+        ]
+        #: Queued tasks as ``(-priority, seq, task)``; entries of tasks
+        #: shed or failed while queued are skipped when popped.
+        self._heap: list[tuple] = []
+        self._busy = [False] * self.workers
+        self._claims = [0] * self.workers
+        self._prefix_owner: dict[tuple, int] = {}
+        self._affinity_hits = 0
+        self._prefix_claims = 0
+
+    def _prepare(self, task: _Task) -> None:
+        if task.kind == _KIND_JOB:
+            task.prefix = job_prefix(task.payload)
+
+    def _launch(self, task: _Task) -> None:
+        with self._lock:
+            if task.seq not in self._tasks:  # shed or shut down meanwhile
+                return
+            heapq.heappush(self._heap, (-task.priority, task.seq, task))
+            job = task.job
+            if job is not None and self.tracer is not None:
+                self.tracer.emit(
+                    "queued",
+                    fingerprint=task.handle.fingerprint,
+                    trace_id=job.trace_id,
+                    parent_span=job.span_id,
+                )
+        self._dispatch()
+
+    # -- scheduling --------------------------------------------------------
+
+    def _pick_locked(self) -> "tuple[_Task, int] | None":
+        """Choose the next dispatchable task and its worker.
+
+        Scans the queue in priority order.  Tasks whose prefix is owned
+        by a busy worker are kept queued (waiting for their warm worker
+        beats rebuilding the log's artifacts on a cold one); unowned
+        prefixes claim the least-loaded free worker.
+        """
+        free = [index for index, busy in enumerate(self._busy) if not busy]
+        if not free or not self._heap:
+            return None
+        deferred: list[tuple] = []
+        chosen: "tuple[_Task, int] | None" = None
+        while self._heap:
+            entry = heapq.heappop(self._heap)
+            task = entry[2]
+            if task.seq not in self._tasks:
+                continue
+            if task.prefix is None:
+                worker = min(free, key=lambda index: (self._claims[index], index))
+            else:
+                owner = self._prefix_owner.get(task.prefix)
+                if owner is None:
+                    worker = min(free, key=lambda index: (self._claims[index], index))
+                    self._prefix_owner[task.prefix] = worker
+                    self._claims[worker] += 1
+                    self._prefix_claims += 1
+                elif self._busy[owner]:
+                    deferred.append(entry)
+                    continue
+                else:
+                    worker = owner
+                    self._affinity_hits += 1
+            chosen = (task, worker)
+            break
+        for entry in deferred:
+            heapq.heappush(self._heap, entry)
+        return chosen
+
+    def _dispatch(self) -> None:
+        """Feed queued work to free workers.
+
+        Pops and submits one task at a time, releasing the lock around
+        the sub-pool ``submit``: ``add_done_callback`` may invoke
+        ``_on_done`` inline (already-failed future on a broken pool),
+        and ``_on_done`` re-acquires the non-reentrant lock.
+        """
+        while True:
+            with self._space:
+                picked = self._pick_locked()
+                if picked is None:
+                    return
+                task, worker = picked
+                task.started = True
+                self._busy[worker] = True
+            job = task.job
+            if job is not None:
+                # A job whose budget ran out while queued fails typed at
+                # dispatch instead of occupying a worker to no purpose.
+                deadline = job.deadline()
+                if deadline is not None and deadline.expired():
+                    with self._space:
+                        self._busy[worker] = False
+                    self._expire(
+                        task, "queued",
+                        "deadline exceeded while queued "
+                        f"(over budget by {-deadline.remaining():.3f}s)",
+                    )
+                    continue
+            if self.tracer is not None:
+                task.claimed_at = time.perf_counter()
+                if job is not None and job.trace_id is not None:
+                    task.claim_span = new_span_id()
+                self.tracer.emit(
+                    "claimed",
+                    fingerprint=task.handle.fingerprint if job is not None else None,
+                    kind=task.kind,
+                    pool_worker=worker,
+                    attempt=0,
+                    trace_id=job.trace_id if job is not None else None,
+                    span_id=task.claim_span,
+                    parent_span=job.span_id if job is not None else None,
+                )
+            try:
+                if job is not None:
+                    future = self._pools[worker].submit(
+                        _pool_worker_run, job, task.claim_span
+                    )
+                else:
+                    fn, args, kwargs = task.payload
+                    future = self._pools[worker].submit(
+                        _pool_worker_call, fn, args, kwargs
+                    )
+            except Exception as exc:  # a broken or shut-down sub-pool
+                with self._space:
+                    self._busy[worker] = False
+                    self._release_locked(task)
+                if self._closed:
+                    exc = ReproError("executor is shut down")
+                self._deliver(task, error=exc)
+                continue
+            future.add_done_callback(
+                lambda future, task=task, worker=worker: self._on_done(
+                    task, worker, future
+                )
+            )
+
+    def _on_done(self, task: _Task, worker: int, future) -> None:
+        with self._space:
+            self._busy[worker] = False
+            self._release_locked(task)
+        self._dispatch()
+        job = task.job
+        seconds = (
+            time.perf_counter() - task.claimed_at
+            if task.claimed_at is not None
+            else None
+        )
+        try:
+            payload = future.result()
+        except BaseException as exc:  # noqa: BLE001 - relayed to the awaiter
+            if self.tracer is not None:
+                self.tracer.emit(
+                    "done",
+                    fingerprint=task.handle.fingerprint if job is not None else None,
+                    kind=task.kind,
+                    seconds=seconds,
+                    error=f"{type(exc).__name__}: {exc}",
+                    trace_id=job.trace_id if job is not None else None,
+                    parent_span=job.span_id if job is not None else None,
+                )
+            self._deliver(task, error=exc)
+            return
+        if job is None:
+            value, pid, worker_snapshot = payload
+            cached = False
+        else:
+            value, cached, pid, worker_snapshot = payload
+            if self.tracer is not None:
+                self.tracer.emit(
+                    "done",
+                    fingerprint=task.handle.fingerprint,
+                    seconds=seconds,
+                    cached=cached,
+                    pool_pid=pid,
+                    trace_id=job.trace_id,
+                    parent_span=job.span_id,
+                )
+        self._record_worker(pid, worker_snapshot)
+        self._deliver(task, value, cached)
+
+    # -- introspection / lifecycle ----------------------------------------
+
+    def _scheduler_stats_locked(self) -> dict:
+        return {
+            "prefix_claims": self._prefix_claims,
+            "affinity_hits": self._affinity_hits,
+        }
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop accepting work, fail queued work, and shut the pool down.
+
+        Running tasks finish (``wait`` blocks until they have); queued
+        handles fail with ``ReproError("executor is shut down")``.
+        """
+        self._close()
+        for pool in self._pools:
+            pool.shutdown(wait=wait)

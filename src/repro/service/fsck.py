@@ -135,7 +135,7 @@ def _broker_root(broker: "str | Path") -> Path:
     if "://" in text:
         raise ReproError(
             f"repro fsck can only repair fs:// broker directories, not {text!r} "
-            "(sqlite and redis backends have their own integrity machinery)"
+            "(the sqlite backend has its own integrity machinery)"
         )
     return Path(text)
 

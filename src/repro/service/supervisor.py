@@ -36,6 +36,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.obs.trace import as_tracer
 from repro.service.dist.broker import connect_broker
 from repro.service.resilience import RetryPolicy
 
@@ -99,8 +100,8 @@ class FleetSupervisor:
     Parameters
     ----------
     broker_url:
-        The broker every worker connects to (``fs://``, ``sqlite://``,
-        ``redis://``).
+        The broker every worker connects to (``fs://`` or
+        ``sqlite://``).
     workers:
         Number of supervised slots.
     cache_dir / lease / poll_interval / trace / trace_rotate_mb:
@@ -176,19 +177,6 @@ class FleetSupervisor:
         self._stop_requested = True
 
     # -- internals ---------------------------------------------------
-
-    def _make_tracer(self):
-        if self.trace is None:
-            return None
-        if hasattr(self.trace, "emit"):
-            return self.trace
-        from repro.obs.trace import TraceWriter
-
-        return TraceWriter(
-            str(self.trace),
-            worker=f"supervisor-{os.getpid()}",
-            rotate_mb=self.trace_rotate_mb,
-        )
 
     def _emit(self, event: str, **fields) -> None:
         if self._tracer is not None:
@@ -273,7 +261,11 @@ class FleetSupervisor:
 
     def run(self) -> dict:
         """Supervise until drained; return the fleet report."""
-        self._tracer = self._make_tracer()
+        self._tracer = as_tracer(
+            self.trace,
+            worker=f"supervisor-{os.getpid()}",
+            rotate_mb=self.trace_rotate_mb,
+        )
         previous_handlers = {}
 
         def _handle(signum, frame):  # pragma: no cover - signal path

@@ -360,13 +360,9 @@ class TestConnectBroker:
         assert isinstance(made, SQLiteBroker)
         made.close()
 
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ReproError):
-            connect_broker("kafka://nope")
-
-    def test_redis_without_package_gives_install_hint(self, monkeypatch):
-        import repro.service.dist.redisbroker as redisbroker
-
-        monkeypatch.setattr(redisbroker, "HAVE_REDIS", False)
-        with pytest.raises(ReproError, match="redis"):
-            connect_broker("redis://localhost:6379/0")
+    @pytest.mark.parametrize(
+        "url", ["kafka://nope", "redis://localhost:6379/0"], ids=["kafka", "redis"]
+    )
+    def test_unknown_scheme_rejected(self, url):
+        with pytest.raises(ReproError, match="unknown broker URL scheme"):
+            connect_broker(url)

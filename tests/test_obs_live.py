@@ -324,6 +324,28 @@ class TestLiveAggregator:
         doctor = analyze_trace(events)["taxonomy"]["redeliveries"]
         assert doctor == {"released": 1, "lease_expired": 1}
 
+    @pytest.mark.parametrize(
+        "reason, bucket",
+        [
+            ("payload does not deserialize: truncated frame", "poison_payload"),
+            ("poison payload", "poison_payload"),
+            ("pickle error", "poison_payload"),
+            ("attempt budget exhausted", "attempts_exhausted"),
+            ("max attempts reached", "attempts_exhausted"),
+            ("lease lost", "other"),
+            (None, "other"),
+        ],
+    )
+    def test_quarantine_reason_buckets_match_doctor(self, reason, bucket):
+        event = {"ts": 1.0, "event": "quarantined", "task_id": "t1"}
+        if reason is not None:
+            event["reason"] = reason
+        aggregator = LiveAggregator()
+        aggregator.feed([event])
+        live = aggregator.snapshot()["taxonomy"]["quarantine_reasons"]
+        doctor = analyze_trace([event])["taxonomy"]["quarantines"]
+        assert live == doctor == {bucket: 1}
+
     def test_main_top_once_json(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"
         run_batch([_job(2)], workers=1, trace=str(path))

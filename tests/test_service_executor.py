@@ -161,22 +161,11 @@ class TestPoolExecutor:
             for handle in [pool.submit(job) for job in jobs]:
                 handle.result(timeout=300)
             stats = pool.stats()
-        assert stats["scheduler"]["affinity"] is True
         assert stats["scheduler"]["prefix_claims"] == num_logs
         # The acceptance counter: without affinity the bound is
         # workers × logs (= 4) builds; with it, exactly one per log.
         assert stats["workers_total"]["artifact_builds"] == num_logs
         assert stats["scheduler"]["affinity_hits"] == len(jobs) - num_logs
-
-    def test_affinity_can_be_disabled(self):
-        jobs = jobs_grid()
-        with PoolExecutor(workers=2, affinity=False) as pool:
-            results = pool.map(jobs)
-            stats = pool.stats()
-        assert len(results) == len(jobs)
-        assert stats["scheduler"]["affinity"] is False
-        # Spread routing may rebuild per worker, never more than that.
-        assert stats["workers_total"]["artifact_builds"] <= 2 * 2
 
     def test_submit_call_runs_on_workers_with_cache(self):
         from repro.selection2 import Component, solve_component_task
