@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import statistics
 import sys
 import time
@@ -49,7 +48,7 @@ from repro.core.gecco import Gecco, GeccoConfig, prepare_artifacts  # noqa: E402
 from repro.core.selection import select_optimal_grouping  # noqa: E402
 from repro.datasets import loan_application_log, running_example_log  # noqa: E402
 from repro.eventlog.events import ROLE_KEY  # noqa: E402
-from repro.selection2 import Component, select_decomposed, solve_component  # noqa: E402
+from repro.selection2 import select_decomposed  # noqa: E402
 from repro.datasets.attributes import enrich_log  # noqa: E402
 from repro.datasets.playout import playout  # noqa: E402
 from repro.datasets.process_tree import TreeSpec, random_tree  # noqa: E402
@@ -862,97 +861,6 @@ def _step2_problem(log, constraints):
     return candidates, distance
 
 
-def _dense_component(num_classes: int, num_candidates: int, seed: int) -> Component:
-    """A dense set-partitioning component that triggers the auto-mode race.
-
-    Singletons guarantee feasibility; the rest are random 2–4-class
-    groups with half-integer costs (float-exact ties), the shape whose
-    candidate count routes ``auto`` mode past the branch-and-bound cap.
-    """
-    rng = random.Random(seed)
-    classes = [f"c{i:02d}" for i in range(num_classes)]
-    candidates = [frozenset([cls]) for cls in classes]
-    seen = set(candidates)
-    while len(candidates) < num_candidates:
-        group = frozenset(rng.sample(classes, rng.randint(2, 4)))
-        if group not in seen:
-            seen.add(group)
-            candidates.append(group)
-    costs = [round(rng.uniform(1.0, 6.0) * 2) / 2.0 for _ in candidates]
-    return Component(
-        classes=tuple(classes), candidates=tuple(candidates), costs=tuple(costs)
-    )
-
-
-def run_racing_benchmark(quick: bool) -> dict:
-    """True-parallel racing vs the sequential auto policy.
-
-    Each cell is a dense component whose candidate count sends ``auto``
-    mode to HiGHS when racing is off (``race=False`` reproduces the old
-    sequential policy exactly); with racing on, the cancellable
-    branch-and-bound runs against HiGHS in true parallel and the first
-    usable finisher decides.  Groupings must be byte-identical — the
-    deterministic winner rule guarantees it, this cross-checks it.
-    """
-    shapes = [(12, 120, 7), (13, 140, 2)] if quick else [
-        (12, 120, 7),
-        (13, 140, 2),
-        (14, 160, 7),
-    ]
-    repeats = 2 if quick else 3
-    totals = {"race_off": 0.0, "race_on": 0.0}
-    cells = []
-    mismatched = []
-    for num_classes, num_candidates, seed in shapes:
-        component = _dense_component(num_classes, num_candidates, seed)
-        best = {}
-        solutions = {}
-        for label, race in (("race_off", False), ("race_on", True)):
-            for _ in range(repeats):
-                started = time.perf_counter()
-                solution = solve_component(component, backend="auto", race=race)
-                elapsed = time.perf_counter() - started
-                if label not in best or elapsed < best[label]:
-                    best[label] = elapsed
-                    solutions[label] = solution
-            totals[label] += best[label]
-        signatures = {
-            label: tuple(sorted(tuple(sorted(group)) for group in solution.groups))
-            for label, solution in solutions.items()
-        }
-        name = f"dense/{num_classes}x{num_candidates}"
-        if signatures["race_off"] != signatures["race_on"]:
-            mismatched.append(name)
-        raced = solutions["race_on"]
-        cell = {
-            "name": name,
-            "race_off_seconds": best["race_off"],
-            "race_on_seconds": best["race_on"],
-            "speedup": (
-                best["race_off"] / best["race_on"] if best["race_on"] > 0 else None
-            ),
-            "race_winner": raced.race_winner,
-            "nodes": raced.nodes,
-            "lp_bound_cuts": raced.lp_cuts,
-        }
-        cells.append(cell)
-        print(
-            f"racing    {name:32s} off={best['race_off'] * 1e3:7.1f}ms "
-            f"on={best['race_on'] * 1e3:7.1f}ms "
-            f"speedup={cell['speedup']:5.2f}x winner={raced.race_winner} "
-            f"nodes={raced.nodes}"
-        )
-    return {
-        "cells": cells,
-        "totals_seconds": totals,
-        "speedup": (
-            totals["race_off"] / totals["race_on"] if totals["race_on"] > 0 else None
-        ),
-        "outputs_match": not mismatched,
-        "mismatched_cells": mismatched,
-    }
-
-
 def run_frontier_benchmark(quick: bool) -> dict:
     """Frontier-batched constraint checking vs per-group dispatch.
 
@@ -1076,9 +984,9 @@ def run_selection_benchmark(quick: bool, workers: int = 4) -> dict:
     }
     totals = {mode: 0.0 for mode in modes}
     counters = {
-        mode: {"nodes": 0, "lp_bound_cuts": 0, "races": 0} for mode in modes
+        mode: {"nodes": 0, "lp_bound_cuts": 0, "canonical_aborts": 0}
+        for mode in modes
     }
-    race_winner_totals: dict[str, int] = {}
     cells = []
     mismatched = []
     pool = PoolExecutor(workers=workers)
@@ -1096,7 +1004,7 @@ def run_selection_benchmark(quick: bool, workers: int = 4) -> dict:
             for mode, options in modes.items():
                 elapsed = 0.0
                 components = None
-                cell_counters = {"nodes": 0, "lp_bound_cuts": 0, "races": 0}
+                cell_counters = {"nodes": 0, "lp_bound_cuts": 0, "canonical_aborts": 0}
                 for bound in bounds:
                     started = time.perf_counter()
                     if options is None:
@@ -1105,6 +1013,7 @@ def run_selection_benchmark(quick: bool, workers: int = 4) -> dict:
                         )
                         cell_counters["nodes"] += outcome.nodes
                         cell_counters["lp_bound_cuts"] += outcome.lp_cuts
+                        cell_counters["canonical_aborts"] += not outcome.canonical
                     else:
                         outcome = select_decomposed(
                             log,
@@ -1118,11 +1027,9 @@ def run_selection_benchmark(quick: bool, workers: int = 4) -> dict:
                         components = outcome.stats.num_components
                         cell_counters["nodes"] += outcome.stats.nodes
                         cell_counters["lp_bound_cuts"] += outcome.stats.lp_bound_cuts
-                        cell_counters["races"] += outcome.stats.races
-                        for winner, count in outcome.stats.race_winner.items():
-                            race_winner_totals[winner] = (
-                                race_winner_totals.get(winner, 0) + count
-                            )
+                        cell_counters["canonical_aborts"] += (
+                            outcome.stats.canonical_aborts
+                        )
                     elapsed += time.perf_counter() - started
                     key = (name, bound)
                     signature = (
@@ -1157,9 +1064,7 @@ def run_selection_benchmark(quick: bool, workers: int = 4) -> dict:
     finally:
         pool.shutdown()
 
-    racing = run_racing_benchmark(quick)
     frontier = run_frontier_benchmark(quick)
-    mismatched += [f"racing/{cell}" for cell in racing["mismatched_cells"]]
     mismatched += [f"frontier/{cell}" for cell in frontier["mismatched_cells"]]
 
     def speedup(mode):
@@ -1171,11 +1076,9 @@ def run_selection_benchmark(quick: bool, workers: int = 4) -> dict:
         "cells": cells,
         "totals_seconds": totals,
         "solver_counters": counters,
-        "race_winner": race_winner_totals,
         "speedup_decomposed_seq": speedup("decomposed_seq"),
         "speedup_decomposed_auto": speedup("decomposed_auto"),
         "speedup_decomposed_pool": speedup("decomposed_pool"),
-        "racing": racing,
         "frontier": frontier,
         "outputs_match": not mismatched,
         "mismatched_cells": mismatched,
@@ -1315,7 +1218,6 @@ def main(argv=None) -> int:
             "selection_speedup_decomposed_pool": selection_record[
                 "speedup_decomposed_pool"
             ],
-            "selection_speedup_racing": selection_record["racing"]["speedup"],
             "selection_speedup_frontier": selection_record["frontier"]["speedup"],
             "resilience_shed_rate_4x_with_admission": resilience_record["runs"][
                 "overload_4x"

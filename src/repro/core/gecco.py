@@ -95,11 +95,13 @@ class GeccoConfig:
     abstraction_strategy:
         ``"complete"`` or ``"start_complete"`` (Step 3).
     solver:
-        Step-2 backend: ``"auto"`` (default — the size-based portfolio
-        of :mod:`repro.selection2.portfolio`, applied per component in
-        decomposed mode; picks warm-started branch-and-bound for small
-        components and HiGHS for large ones, identical groupings
-        either way), ``"scipy"`` (always HiGHS), or ``"bnb"``.
+        Step-2 backend: ``"auto"`` (default — the portfolio of
+        :mod:`repro.selection2.portfolio`: in decomposed mode a
+        warm-started, node-capped branch-and-bound per component with
+        HiGHS when the cap is hit; in monolithic mode branch-and-bound
+        for small programs and HiGHS for large ones; identical
+        groupings either way), ``"scipy"`` (always HiGHS), or
+        ``"bnb"``.
     selection:
         Step-2 mode: ``"decomposed"`` (default — the
         :mod:`repro.selection2` pipeline: overlap-graph decomposition,
@@ -548,6 +550,7 @@ class Gecco:
             solves=1,
             nodes=selection.nodes,
             lp_bound_cuts=selection.lp_cuts,
+            canonical_aborts=int(not selection.canonical),
             seconds=selection.seconds,
         )
 

@@ -63,6 +63,9 @@ class SelectionResult:
     nodes: int = 0
     #: Prunes decided only by the LP-relaxation dual bound (bnb only).
     lp_cuts: int = 0
+    #: Whether the grouping is the canonical lex-min optimum (``False``
+    #: only when the tie-break search ran out of nodes).
+    canonical: bool = True
 
     @property
     def feasible(self) -> bool:
@@ -143,6 +146,7 @@ def select_optimal_grouping(
 
         backend = choose_backend(len(universe), len(ordered))
 
+    prices = None
     if backend == "bnb":
         solver = SetPartitionSolver(
             universe=sorted(universe),
@@ -152,6 +156,7 @@ def select_optimal_grouping(
             max_count=max_groups,
         )
         outcome = solver.solve()
+        prices = solver.prices
     else:
         program = build_program(ordered, costs, universe, min_groups, max_groups)
         outcome = scipy_backend.solve(program, time_limit=time_limit)
@@ -183,6 +188,7 @@ def select_optimal_grouping(
         target=sum(costs[position] for position in positions),
         min_count=min_groups,
         max_count=max_groups,
+        prices=prices,
     )
     if canonical is not None:
         positions = canonical
@@ -199,4 +205,5 @@ def select_optimal_grouping(
         backend=backend,
         nodes=outcome.nodes_explored,
         lp_cuts=outcome.lp_bound_cuts,
+        canonical=canonical is not None,
     )

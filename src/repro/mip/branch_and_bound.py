@@ -19,22 +19,28 @@ Search strategy
   group's share, which is at least the class's minimum share.
 * **LP-relaxation bounding** (scipy-gated): on programs where the
   search survives past an activation node budget, the LP relaxation of
-  the covering program is solved once and its per-class dual prices
-  ``y`` replace the cost shares wherever they are tighter.  Corrected
-  to exact dual feasibility (``Σ_{c∈g} y_c ≤ cost(g)`` for every
-  candidate, re-verified with :func:`math.fsum` and shaved by a
-  float-summation safety margin), the prices bound any exact cover of
-  the remaining classes from below by ``Σ_{c uncovered} y_c`` — an
-  admissible bound that prunes far deeper than cost shares on dense
-  components.  Without scipy the solver silently keeps the cost-share
-  bound; either way the returned selection is *identical* (an
-  admissible bound never prunes the first optimum in DFS order, and
-  adoption requires strict improvement).
+  the covering program *with its Eq. 5 count rows* is solved once
+  (:func:`lp_prices`).  Its prices — one ``y_c`` per class and
+  ``μ_lo, μ_hi ≥ 0`` for the ``min``/``max`` count rows — are corrected
+  to exact dual feasibility (every reduced cost
+  ``cost(g) − y(g) − μ_lo + μ_hi`` is ≥ 0, verified with
+  :func:`math.fsum`), so a partial solution with ``m`` groups needs at
+  least ``Σ_{c uncovered} y_c + max(min − m, 0)·μ_lo − (max − m)·μ_hi``
+  more cost, less a float-summation safety margin.  That bound replaces
+  the cost shares wherever it is tighter.  Without scipy the solver
+  silently keeps the cost-share bound; either way the returned
+  selection is *identical* (an admissible bound never prunes the first
+  optimum in DFS order, and adoption requires strict improvement).
 * **Cardinality pruning**: a partial solution with ``m`` groups is
   pruned when ``m`` exceeds the maximum, when even one group per
   remaining class cannot reach the minimum, or when the remaining
   classes cannot be covered with few enough groups given the largest
   candidate size.
+
+The same prices make the lex-min tie-break cheap
+(:func:`lexmin_optimal_selection`): a candidate whose reduced cost
+lifts the LP bound above the optimum is in no optimal cover, so it is
+dropped before the tie-break search runs.
 """
 
 from __future__ import annotations
@@ -43,22 +49,152 @@ import math
 import sys
 import time
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.exceptions import SolverError
 from repro.mip.result import SolverResult, SolverStatus
 
-#: How often (in nodes) the search checks its wall-clock deadline and
-#: cooperative cancellation event.
+#: How often (in nodes) the search checks its wall-clock deadline.
 _TIME_CHECK_INTERVAL = 1024
 
 #: ``lp_bound=None`` (auto) solves the LP relaxation only once the
-#: search has burned this many nodes: easy instances never pay the
-#: linprog call, hard ones amortize it over deep pruning.
+#: search has burned this many nodes, and the lex-min tie-break only
+#: once its plain search has: easy instances never pay the linprog
+#: call, hard ones amortize it over deep pruning.
 LP_ACTIVATION_NODES = 2048
 
 
-class SolverCancelled(SolverError):
-    """The search was cooperatively cancelled (portfolio race lost)."""
+@dataclass(frozen=True)
+class LPPrices:
+    """Exactly dual-feasible prices of the covering LP with count rows.
+
+    ``classes`` maps each class to its price ``y_c``; ``at_least`` and
+    ``at_most`` are the prices ``μ_lo, μ_hi ≥ 0`` of the ``Σx ≥ min``
+    and ``Σx ≤ max`` rows (0 without the row).  Every candidate's
+    :meth:`reduced_cost` is ≥ 0, so an exact cover ``S`` within the
+    count bounds costs at least ``floor + Σ_{g ∈ S} reduced_cost(g)``,
+    where ``floor = Σ_c y_c + min·μ_lo − max·μ_hi``.  ``margin`` bounds
+    the float-summation error of every comparison made against these
+    prices (plain per-node sums, and the searches' running costs).
+    """
+
+    classes: dict[str, float]
+    at_least: float
+    at_most: float
+    floor: float
+    margin: float
+
+    def reduced_cost(self, group, cost: float) -> float:
+        """``cost − y(group) − μ_lo + μ_hi``, correctly rounded."""
+        return math.fsum(
+            [cost, -self.at_least, self.at_most]
+            + [-self.classes[cls] for cls in group]
+        )
+
+
+def lp_prices(
+    universe: Sequence[str],
+    candidates: Sequence[frozenset[str]],
+    costs: Sequence[float],
+    min_count: int | None = None,
+    max_count: int | None = None,
+) -> LPPrices | None:
+    """Solve the covering LP plus its count rows; return exact prices.
+
+    HiGHS's duals are only feasible up to its tolerances.  They are
+    corrected to exact dual feasibility: each violated candidate's
+    violation is spread over its member classes (each class absorbs the
+    worst per-class share among its violated groups), then the
+    fsum-measured residual is shaved off every class, rounding down.
+    ``None`` when scipy is unavailable or the LP fails (infeasible
+    count rows, numerical trouble): callers keep their cost-share
+    bounds.
+    """
+    from repro.mip import scipy_backend
+
+    if not scipy_backend.HAVE_SCIPY or not candidates:
+        return None
+    np = scipy_backend.np
+    classes = sorted(set(universe))
+    rows = {cls: row for row, cls in enumerate(classes)}
+    count_rows = [
+        (sign, sign * float(bound))
+        for sign, bound in ((-1.0, min_count), (1.0, max_count))
+        if bound is not None
+    ]
+    try:
+        from scipy.optimize import linprog
+
+        matrix = np.zeros((len(classes), len(candidates)))
+        for position, candidate in enumerate(candidates):
+            for cls in candidate:
+                matrix[rows[cls], position] = 1.0
+        outcome = linprog(
+            np.asarray(costs, dtype=float),
+            A_ub=(
+                np.array([[sign] * len(candidates) for sign, _ in count_rows])
+                if count_rows
+                else None
+            ),
+            b_ub=[rhs for _, rhs in count_rows] if count_rows else None,
+            A_eq=matrix,
+            b_eq=np.ones(len(classes)),
+            bounds=(0, None),
+            method="highs",
+        )
+        if outcome.status != 0 or outcome.eqlin is None:
+            return None
+        prices = {cls: float(outcome.eqlin.marginals[rows[cls]]) for cls in classes}
+        # ``linprog`` reports ≤-row marginals as ≤ 0; the count prices
+        # are their negations.
+        count_prices = (
+            [max(0.0, -float(value)) for value in outcome.ineqlin.marginals]
+            if count_rows
+            else []
+        )
+    except Exception:  # pragma: no cover - defensive: LP is optional
+        return None
+    at_least = count_prices[0] if min_count is not None else 0.0
+    at_most = count_prices[-1] if max_count is not None else 0.0
+
+    def slacks(prices):
+        return [
+            math.fsum(
+                [costs[position], -at_least, at_most]
+                + [-prices[cls] for cls in candidate]
+            )
+            for position, candidate in enumerate(candidates)
+        ]
+
+    reduction = dict.fromkeys(classes, 0.0)
+    for candidate, slack in zip(candidates, slacks(prices)):
+        if slack < 0:
+            share = -slack / len(candidate)
+            for cls in candidate:
+                reduction[cls] = max(reduction[cls], share)
+    prices = {cls: prices[cls] - reduction[cls] for cls in classes}
+    residual = -min(slacks(prices))
+    if residual > 0.0:
+        # Rounding down makes every class drop by at least the residual.
+        prices = {
+            cls: math.nextafter(value - residual, -math.inf)
+            for cls, value in prices.items()
+        }
+        if min(slacks(prices)) < 0.0:  # pragma: no cover - by construction
+            return None
+    lower = (min_count or 0) * at_least
+    upper = (max_count or 0) * at_most
+    scale = math.fsum(
+        [abs(value) for value in prices.values()]
+        + [lower, upper, len(classes) * max(costs)]
+    )
+    return LPPrices(
+        classes=prices,
+        at_least=at_least,
+        at_most=at_most,
+        floor=math.fsum(list(prices.values()) + [lower, -upper]),
+        margin=4.0 * (len(classes) + 3) * sys.float_info.epsilon * scale,
+    )
 
 
 class SetPartitionSolver:
@@ -94,11 +230,8 @@ class SetPartitionSolver:
         (default) activates the LP lazily after
         :data:`LP_ACTIVATION_NODES` search nodes.  Ignored (cost-share
         only) when scipy is unavailable; the returned selection is
-        identical in every case.
-    cancel_event:
-        Optional :class:`threading.Event`; once set, the search raises
-        :class:`SolverCancelled` at the next node-interval check (the
-        portfolio race uses this for first-finisher cancellation).
+        identical in every case.  The prices, once solved, stay on
+        :attr:`prices` for the lex-min tie-break to reuse.
     """
 
     def __init__(
@@ -112,7 +245,6 @@ class SetPartitionSolver:
         incumbent: "tuple[Sequence[int], float] | None" = None,
         time_limit: float | None = None,
         lp_bound: bool | None = None,
-        cancel_event=None,
     ):
         if len(candidates) != len(costs):
             raise SolverError("candidates and costs must have equal length")
@@ -155,14 +287,12 @@ class SetPartitionSolver:
         self._nodes = 0
         self._time_limit = time_limit
         self._deadline: float | None = None
-        self._cancel = cancel_event
         self._lp_bound = lp_bound
         self._lp_tried = False
         self._lp_cuts = 0
-        #: ``cls -> dual price`` once the LP relaxation has been solved
-        #: and corrected to exact dual feasibility; ``None`` before.
-        self._dual: dict[str, float] | None = None
-        self._dual_slack = 0.0
+        #: The LP relaxation's exact prices once solved; ``None`` before
+        #: (and for good when scipy is missing or the LP failed).
+        self.prices: LPPrices | None = None
         if incumbent is not None:
             self._adopt_incumbent(incumbent)
 
@@ -238,75 +368,12 @@ class SetPartitionSolver:
     # -- LP-relaxation bound -------------------------------------------------
 
     def _solve_lp_relaxation(self) -> None:
-        """Solve the covering LP once and keep corrected dual prices.
-
-        Count bounds are deliberately left out of the relaxation: they
-        only shrink the feasible set, so the covering duals stay an
-        admissible lower bound for the bounded program too.  Any
-        failure (scipy missing, LP numerically troubled) leaves
-        ``self._dual`` unset and the cost-share bound in charge.
-        """
+        """Solve the LP relaxation once (see :func:`lp_prices`)."""
         self._lp_tried = True
-        from repro.mip import scipy_backend
-
-        if not scipy_backend.HAVE_SCIPY or not self.candidates:
-            return
-        np = scipy_backend.np
-        try:
-            from scipy.optimize import linprog
-
-            class_row = {cls: row for row, cls in enumerate(self.universe)}
-            matrix = np.zeros((len(self.universe), len(self.candidates)))
-            for position, candidate in enumerate(self.candidates):
-                for cls in candidate:
-                    matrix[class_row[cls], position] = 1.0
-            outcome = linprog(
-                np.asarray(self.costs, dtype=float),
-                A_eq=matrix,
-                b_eq=np.ones(len(self.universe)),
-                bounds=(0, None),
-                method="highs",
-            )
-            if outcome.status != 0 or outcome.eqlin is None:
-                return
-            prices = {
-                cls: float(outcome.eqlin.marginals[row])
-                for cls, row in class_row.items()
-            }
-        except Exception:  # pragma: no cover - defensive: LP is optional
-            return
-        # Correct to exact dual feasibility: for every violated
-        # candidate spread the violation over its members (each member
-        # absorbs the worst per-class share among its violated groups,
-        # so every group's total reduction covers its own violation),
-        # then shave the fsum-measured residual off every class.
-        reduction = {cls: 0.0 for cls in self.universe}
-        for position, candidate in enumerate(self.candidates):
-            slack = self.costs[position] - math.fsum(
-                prices[cls] for cls in candidate
-            )
-            if slack < 0:
-                per_class = -slack / len(candidate)
-                for cls in candidate:
-                    if per_class > reduction[cls]:
-                        reduction[cls] = per_class
-        prices = {cls: prices[cls] - reduction[cls] for cls in self.universe}
-        residual = 0.0
-        for position, candidate in enumerate(self.candidates):
-            slack = self.costs[position] - math.fsum(
-                prices[cls] for cls in candidate
-            )
-            if -slack > residual:
-                residual = -slack
-        if residual > 0.0:
-            prices = {cls: value - residual for cls, value in prices.items()}
-        # Per-node bounds use a plain (not fsum) accumulation; reserve
-        # a rigorous sequential-summation error margin for it.
-        scale = math.fsum(abs(value) for value in prices.values())
-        self._dual_slack = (
-            4.0 * (len(self.universe) + 1) * sys.float_info.epsilon * scale
+        self.prices = lp_prices(
+            self.universe, self.candidates, self.costs,
+            self.min_count, self.max_count,
         )
-        self._dual = prices
 
     # -- search --------------------------------------------------------------
 
@@ -315,13 +382,18 @@ class SetPartitionSolver:
             self._min_share[cls] for cls in self.universe if cls not in covered
         )
 
-    def _dual_bound(self, covered: frozenset[str]) -> float:
-        dual = self._dual
-        assert dual is not None
-        return (
-            sum(dual[cls] for cls in self.universe if cls not in covered)
-            - self._dual_slack
+    def _dual_bound(self, covered: frozenset[str], count: int) -> float:
+        prices = self.prices
+        assert prices is not None
+        bound = (
+            sum(prices.classes[cls] for cls in self.universe if cls not in covered)
+            - prices.margin
         )
+        if self.min_count is not None:
+            bound += max(self.min_count - count, 0) * prices.at_least
+        if self.max_count is not None:
+            bound -= (self.max_count - count) * prices.at_most
+        return bound
 
     def _cardinality_prunes(self, covered: frozenset[str], count: int) -> bool:
         remaining = len(self.universe) - len(covered)
@@ -344,16 +416,14 @@ class SetPartitionSolver:
             raise SolverError(
                 f"branch-and-bound node limit ({self.node_limit}) exceeded"
             )
-        if self._nodes % _TIME_CHECK_INTERVAL == 0:
-            if self._cancel is not None and self._cancel.is_set():
-                raise SolverCancelled("branch-and-bound search cancelled")
-            if (
-                self._deadline is not None
-                and time.perf_counter() > self._deadline
-            ):
-                raise SolverError(
-                    f"branch-and-bound time limit ({self._time_limit}s) exceeded"
-                )
+        if (
+            self._nodes % _TIME_CHECK_INTERVAL == 0
+            and self._deadline is not None
+            and time.perf_counter() > self._deadline
+        ):
+            raise SolverError(
+                f"branch-and-bound time limit ({self._time_limit}s) exceeded"
+            )
         if (
             self._lp_bound is None
             and not self._lp_tried
@@ -372,8 +442,8 @@ class SetPartitionSolver:
             return
         share_bound = self._lower_bound(covered)
         bound = share_bound
-        if self._dual is not None:
-            dual_bound = self._dual_bound(covered)
+        if self.prices is not None:
+            dual_bound = self._dual_bound(covered, len(selection))
             if dual_bound > bound:
                 bound = dual_bound
         if cost + bound >= self._best_cost:
@@ -421,6 +491,7 @@ def lexmin_optimal_selection(
     max_count: int | None = None,
     node_limit: int = 2_000_000,
     tolerance: float = 1e-9,
+    prices: LPPrices | None = None,
 ) -> list[int] | None:
     """The lexicographically-smallest optimal selection of a solved program.
 
@@ -439,6 +510,17 @@ def lexmin_optimal_selection(
     canonicalizing each overlap component independently yields exactly
     this function's answer on the full program.
 
+    **Reduced-cost fixing.**  With exact LP prices (see
+    :class:`LPPrices`), a selection containing ``g`` costs at least
+    ``floor + reduced_cost(g)``, so every ``g`` for which that exceeds
+    ``target + tolerance`` (plus the float margin) is dropped before the
+    search.  The survivors keep their order, so their lex-min is the
+    lex-min over all candidates.  ``prices`` shares a solver's prices
+    (:attr:`SetPartitionSolver.prices`); without them the plain search
+    runs first and the LP is solved only once it has spent
+    :data:`LP_ACTIVATION_NODES` nodes.  Without scipy there is no
+    fixing and the search runs unchanged.
+
     Depth-first over positions in ascending order, trying *include*
     before *exclude*, pruned by the optimal-cost bound (only
     optimal-cost paths survive), cost-share lower bounds, count
@@ -446,25 +528,71 @@ def lexmin_optimal_selection(
     the ``node_limit`` budget is exhausted (callers keep the solver's
     own selection in that case).
     """
-    ordered_classes = sorted(set(universe))
-    universe_set = frozenset(ordered_classes)
-    total = len(universe_set)
-    if not total:
+    from repro.mip import scipy_backend
+
+    classes = sorted(set(universe))
+    if not classes:
         return []
-    count = len(candidates)
-    min_share: dict[str, float] = {cls: math.inf for cls in ordered_classes}
-    last_position: dict[str, int] = {cls: -1 for cls in ordered_classes}
+    limit = target + tolerance
+    survivors = range(len(candidates))
+    try:
+        if prices is None and scipy_backend.HAVE_SCIPY:
+            try:
+                return _lexmin_search(
+                    classes, candidates, costs, survivors, limit,
+                    min_count, max_count, min(node_limit, LP_ACTIVATION_NODES),
+                )
+            except _CanonicalAbort:
+                if node_limit <= LP_ACTIVATION_NODES:
+                    raise
+            prices = lp_prices(classes, candidates, costs, min_count, max_count)
+        if prices is not None:
+            cutoff = limit + prices.margin
+            survivors = [
+                position
+                for position in survivors
+                if prices.floor
+                + prices.reduced_cost(candidates[position], costs[position])
+                <= cutoff
+            ]
+        return _lexmin_search(
+            classes, candidates, costs, survivors, limit,
+            min_count, max_count, node_limit,
+        )
+    except _CanonicalAbort:
+        return None
+
+
+def _lexmin_search(
+    classes: list[str],
+    candidates: Sequence[frozenset[str]],
+    costs: Sequence[float],
+    order: Sequence[int],
+    limit: float,
+    min_count: int | None,
+    max_count: int | None,
+    node_limit: int,
+) -> list[int] | None:
+    """The lex-min search over the candidate positions in ``order``.
+
+    Raises :class:`_CanonicalAbort` past ``node_limit`` nodes.
+    """
+    total = len(classes)
+    count = len(order)
+    min_share: dict[str, float] = dict.fromkeys(classes, math.inf)
+    last_index: dict[str, int] = dict.fromkeys(classes, -1)
     largest = 1
-    for position, candidate in enumerate(candidates):
+    for index, position in enumerate(order):
+        candidate = candidates[position]
         largest = max(largest, len(candidate))
         share = costs[position] / len(candidate)
         for cls in candidate:
             if share < min_share[cls]:
                 min_share[cls] = share
-            last_position[cls] = position
+            last_index[cls] = index
     nodes = 0
 
-    def _search(position, covered, selected, cost, selection):
+    def _search(index, covered, selected, cost, selection):
         # The exclude branch iterates (recursing per skipped candidate
         # would overflow the stack on large programs); only the include
         # branch recurses, bounding the depth by the partition size.
@@ -480,15 +608,15 @@ def lexmin_optimal_selection(
                 if max_count is not None and selected > max_count:
                     return None
                 return list(selection)
-            if position == count:
+            if index == count:
                 return None
             bound = 0.0
-            for cls in ordered_classes:
+            for cls in classes:
                 if cls not in covered:
-                    if last_position[cls] < position:
+                    if last_index[cls] < index:
                         return None  # the class can no longer be covered
                     bound += min_share[cls]
-            if cost + bound > target + tolerance:
+            if cost + bound > limit:
                 return None
             if (
                 max_count is not None
@@ -497,11 +625,12 @@ def lexmin_optimal_selection(
                 return None
             if min_count is not None and selected + remaining < min_count:
                 return None
+            position = order[index]
             candidate = candidates[position]
-            if not (candidate & covered) and cost + costs[position] <= target + tolerance:
+            if not (candidate & covered) and cost + costs[position] <= limit:
                 selection.append(position)
                 found = _search(
-                    position + 1,
+                    index + 1,
                     covered | candidate,
                     selected + 1,
                     cost + costs[position],
@@ -510,9 +639,6 @@ def lexmin_optimal_selection(
                 if found is not None:
                     return found
                 selection.pop()
-            position += 1
+            index += 1
 
-    try:
-        return _search(0, frozenset(), 0, 0.0, [])
-    except _CanonicalAbort:
-        return None
+    return _search(0, frozenset(), 0, 0.0, [])

@@ -8,9 +8,10 @@ The paper solves Step 2 as one monolithic weighted set-partitioning MIP
 * :mod:`~repro.selection2.presolve` — certified optimality-preserving
   reductions (duplicate merge, forced singleton fixing, dominated-group
   elimination);
-* :mod:`~repro.selection2.portfolio` — per-component backend choice or
-  race (``bnb`` vs ``scipy``/HiGHS) with greedy warm starts and
-  node/time budgets;
+* :mod:`~repro.selection2.portfolio` — one deterministic per-component
+  backend policy: warm-started branch-and-bound with count-aware LP
+  prices, HiGHS only when its node cap is hit, and a lex-min tie-break
+  made cheap by reduced-cost fixing;
 * :mod:`~repro.selection2.coordinate` — exact handling of the global
   Eq. 5 cardinality bounds across components (per-component Pareto
   fronts of (objective, #groups) merged by dynamic program);

@@ -1,93 +1,56 @@
-"""Solver portfolio: pick or race ``bnb`` vs ``scipy`` per component.
+"""Solver portfolio: one deterministic backend policy per component.
 
 Each overlap-graph component is a small weighted set-partitioning
-program.  Which backend wins depends on its shape:
+program, solved by one of two backends:
 
 * the specialized branch-and-bound solver
-  (:mod:`repro.mip.branch_and_bound`) has near-zero call overhead and
-  dominates on small or tightly-constrained components;
-* HiGHS (:mod:`repro.mip.scipy_backend`) pays a fixed model-building
-  cost per call but scales to large, dense components where the
-  branch-and-bound frontier explodes.
+  (:mod:`repro.mip.branch_and_bound`), with near-zero call overhead and
+  count-aware LP prices as its lower bound;
+* HiGHS (:mod:`repro.mip.scipy_backend`), which pays a fixed
+  model-building cost per call but never runs out of nodes.
 
-``backend="auto"`` runs small components on a warm-started, node- and
-time-capped branch-and-bound (now with the lazy LP-relaxation bound of
-:mod:`repro.mip.branch_and_bound`).  When that cap blows — and on every
-large component, where the portfolio previously went straight to
-HiGHS — the two backends **race in true parallel**
-(:func:`race_component`): branch-and-bound on one thread (cancellable
-at node-interval granularity), HiGHS on another (its native solve
-releases the GIL, so both genuinely run at once).  The first backend to
-produce a *usable* result wins and the loser is cancelled.
+``backend="auto"`` runs **every** component on a warm-started, node-
+and time-capped branch-and-bound.  Components with more than
+:data:`AUTO_BNB_MAX_CANDIDATES` candidates solve the LP relaxation up
+front, smaller ones only once the search has spent
+:data:`~repro.mip.branch_and_bound.LP_ACTIVATION_NODES` nodes.  HiGHS
+runs only when that budget runs out; without scipy there is no node cap
+and the branch-and-bound's own budget errors propagate.  The warm start
+is a greedy incumbent (cheapest cost-per-class exact cover), which
+tightens the initial upper bound and prunes most of the tree on easy
+components.
 
-**Deterministic winner rule.**  The raced result can never depend on
-which thread finishes first: a result is *usable* only when it is the
-canonical lex-min optimum (``canonical=True`` — both backends
-canonicalize through :func:`lexmin_optimal_selection`, so their usable
-solutions are byte-identical) or a proof of infeasibility.  When
-canonicalization exhausts its node budget the HiGHS solution is
-authoritative (its variable assignment is a deterministic function of
-the program matrix), and a backend that fails outright simply concedes
-to the other.  Only diagnostic fields (``race_winner``, ``nodes``,
-``backend``) record which thread actually came first.
+Every optimum is then canonicalized by
+:func:`~repro.mip.branch_and_bound.lexmin_optimal_selection`, which
+reuses the branch-and-bound's LP prices to drop every candidate whose
+reduced cost rules it out of an optimal cover.  A canonicalization that
+still runs out of nodes keeps the backend's own selection and says so
+(``canonical=False``, counted as ``SelectionStats.canonical_aborts``).
 
-Auto-mode branch-and-bound runs start from a greedy incumbent (cheapest
-cost-per-class exact cover), which tightens the initial upper bound and
-prunes most of the tree on easy components.  Explicitly requested
-backends run exactly like the monolithic path — cold, uncapped,
-sequential — so decomposed and monolithic solves stay byte-identical
-per backend.
+Explicitly requested backends run exactly like the monolithic path —
+cold, uncapped — so decomposed and monolithic solves stay
+byte-identical per backend.
 """
 
 from __future__ import annotations
 
-import atexit
 import math
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.exceptions import SolverError
 from repro.mip import scipy_backend
-from repro.mip.branch_and_bound import (
-    SetPartitionSolver,
-    SolverCancelled,
-    lexmin_optimal_selection,
-)
+from repro.mip.branch_and_bound import SetPartitionSolver, lexmin_optimal_selection
 from repro.mip.result import SolverStatus
 from repro.selection2.decompose import Component
 
-#: Components with at most this many candidates go to branch-and-bound
-#: in ``auto`` mode.
+#: Components with more than this many candidates solve the LP
+#: relaxation before the ``auto``-mode branch-and-bound starts; the
+#: monolithic ``auto`` path sends larger programs to HiGHS instead.
 AUTO_BNB_MAX_CANDIDATES = 96
 
 #: Node budget for the ``auto``-mode branch-and-bound attempt; exceeding
-#: it escalates to the parallel race instead of failing.
+#: it falls back to HiGHS instead of failing.
 AUTO_BNB_NODE_LIMIT = 200_000
-
-#: Deterministic preference order when both racers have already
-#: finished by the time the result is collected.
-_RACE_ORDER = ("bnb", "scipy")
-
-#: Racer threads abandoned mid-solve (a losing HiGHS run cannot be
-#: cancelled).  Joined at interpreter exit so no thread is still inside
-#: native solver code during teardown, which can abort the process.
-_orphan_lock = threading.Lock()
-_orphans: "list[threading.Thread]" = []
-
-
-def _adopt_orphan(thread: threading.Thread) -> None:
-    with _orphan_lock:
-        _orphans[:] = [t for t in _orphans if t.is_alive()]
-        if thread.is_alive():
-            _orphans.append(thread)
-
-
-@atexit.register
-def _reap_orphans(timeout: float = 30.0) -> None:
-    with _orphan_lock:
-        pending, _orphans[:] = list(_orphans), []
-    for thread in pending:
-        thread.join(timeout=timeout)
 
 
 @dataclass(frozen=True)
@@ -100,8 +63,7 @@ class ComponentSolution:
     HiGHS); ``backend`` names the solver that produced the solution.
     ``lp_cuts`` counts prunes decided only by the LP-relaxation bound;
     ``canonical`` records whether the groups are the lex-min optimum
-    (``False`` only when the canonicalization budget ran out);
-    ``raced``/``race_winner`` are diagnostic race accounting.
+    (``False`` only when the canonicalization budget ran out).
     """
 
     status: str
@@ -112,8 +74,6 @@ class ComponentSolution:
     message: str = ""
     lp_cuts: int = 0
     canonical: bool = True
-    raced: bool = False
-    race_winner: str = ""
 
     @property
     def is_optimal(self) -> bool:
@@ -122,7 +82,7 @@ class ComponentSolution:
 
 
 def choose_backend(num_classes: int, num_candidates: int) -> str:
-    """``auto``-mode heuristic: branch-and-bound for small components.
+    """Monolithic ``auto`` heuristic: branch-and-bound for small programs.
 
     Without scipy every component goes to the dependency-free
     branch-and-bound solver (slower on large dense components, but the
@@ -179,6 +139,7 @@ def _from_solver_result(
     backend: str,
     min_count: int | None,
     max_count: int | None,
+    prices=None,
 ) -> ComponentSolution:
     if outcome.status is not SolverStatus.OPTIMAL:
         return ComponentSolution(
@@ -203,6 +164,7 @@ def _from_solver_result(
         target=target,
         min_count=min_count,
         max_count=max_count,
+        prices=prices,
     )
     if canonical is not None:
         positions = canonical
@@ -228,7 +190,7 @@ def _solve_bnb(
     node_limit: int | None = None,
     time_limit: float | None = None,
     warm_start: bool = False,
-    cancel_event=None,
+    lp_bound: bool | None = None,
 ) -> ComponentSolution:
     incumbent = (
         greedy_incumbent(component, min_count, max_count) if warm_start else None
@@ -241,10 +203,12 @@ def _solve_bnb(
         max_count=max_count,
         incumbent=incumbent,
         time_limit=time_limit,
-        cancel_event=cancel_event,
+        lp_bound=lp_bound,
         **({"node_limit": node_limit} if node_limit is not None else {}),
     )
-    return _from_solver_result(solver.solve(), component, "bnb", min_count, max_count)
+    return _from_solver_result(
+        solver.solve(), component, "bnb", min_count, max_count, solver.prices
+    )
 
 
 def _solve_scipy(
@@ -271,119 +235,6 @@ def _solve_scipy(
     )
 
 
-def _usable(solution: ComponentSolution, backend: str) -> bool:
-    """Whether a racer's result may decide the race (determinism rule).
-
-    An optimal solution is usable only when canonicalized (both
-    backends' canonical optima are byte-identical, so the race outcome
-    cannot depend on timing); a non-canonical optimum is usable only
-    from HiGHS, whose raw assignment is a deterministic function of the
-    program matrix.  Infeasibility proofs are always usable.
-    """
-    if solution.status == SolverStatus.INFEASIBLE.value:
-        return True
-    if not solution.is_optimal:
-        return False
-    return solution.canonical or backend == "scipy"
-
-
-def race_component(
-    component: Component,
-    min_count: int | None = None,
-    max_count: int | None = None,
-    time_limit: float | None = None,
-    chaos=None,
-) -> ComponentSolution:
-    """Race branch-and-bound against HiGHS in true parallel.
-
-    One thread runs the warm-started, LP-bounded branch-and-bound
-    (cooperatively cancellable via :class:`threading.Event`), the other
-    HiGHS (whose native solve releases the GIL).  The first *usable*
-    finisher — see :func:`_usable` for the deterministic winner rule —
-    decides the component; the losing branch-and-bound is cancelled at
-    its next node-interval check, while a losing HiGHS solve is
-    abandoned to its daemon thread.  A racer that fails outright
-    concedes; both failing raises the combined :class:`SolverError`.
-
-    ``chaos`` is a test seam: a callable invoked as ``chaos(name)``
-    inside each racer thread before its solve, letting the race
-    determinism suite inject seeded delays and faults per backend.
-    """
-    if not scipy_backend.HAVE_SCIPY:
-        return _solve_bnb(
-            component, min_count, max_count,
-            time_limit=time_limit, warm_start=True,
-        )
-    cancel = threading.Event()
-    finished = threading.Condition()
-    outcomes: dict[str, "ComponentSolution | BaseException"] = {}
-
-    def _racer(name, solve):
-        outcome: "ComponentSolution | BaseException"
-        try:
-            if chaos is not None:
-                chaos(name)
-            outcome = solve()
-        except BaseException as error:  # noqa: BLE001 - relayed to the waiter
-            outcome = error
-        with finished:
-            outcomes[name] = outcome
-            finished.notify_all()
-
-    racers = {
-        "bnb": lambda: _solve_bnb(
-            component, min_count, max_count,
-            time_limit=time_limit, warm_start=True, cancel_event=cancel,
-        ),
-        "scipy": lambda: _solve_scipy(component, min_count, max_count, time_limit),
-    }
-    threads = {
-        name: threading.Thread(
-            target=_racer, args=(name, solve),
-            name=f"gecco-race-{name}", daemon=True,
-        )
-        for name, solve in racers.items()
-    }
-    for thread in threads.values():
-        thread.start()
-
-    winner: str | None = None
-    with finished:
-        while True:
-            for name in _RACE_ORDER:
-                outcome = outcomes.get(name)
-                if isinstance(outcome, ComponentSolution) and _usable(
-                    outcome, name
-                ):
-                    winner = name
-                    break
-            if winner is not None or len(outcomes) == len(racers):
-                break
-            finished.wait()
-    cancel.set()
-    if winner is None:
-        # Neither produced a usable result.  Prefer reporting a real
-        # solver outcome (e.g. both timed out) over a race artifact.
-        for name in _RACE_ORDER:
-            outcome = outcomes[name]
-            if isinstance(outcome, ComponentSolution):
-                return replace(outcome, raced=True, race_winner=name)
-        errors = "; ".join(
-            f"{name}: {outcomes[name]}" for name in _RACE_ORDER
-        )
-        raise SolverError(f"both race backends failed ({errors})")
-    # Let the cancelled branch-and-bound unwind (it reacts within one
-    # node interval); an unfinished HiGHS solve is left to its daemon
-    # thread (reaped at interpreter exit) and its late result discarded.
-    if winner != "bnb":
-        threads["bnb"].join(timeout=30.0)
-    else:
-        _adopt_orphan(threads["scipy"])
-    solution = outcomes[winner]
-    assert isinstance(solution, ComponentSolution)
-    return replace(solution, raced=True, race_winner=winner)
-
-
 def solve_component(
     component: Component,
     backend: str = "scipy",
@@ -391,18 +242,16 @@ def solve_component(
     max_count: int | None = None,
     time_limit: float | None = None,
     deadline=None,
-    race: bool | None = None,
-    race_chaos=None,
 ) -> ComponentSolution:
     """Solve one component with the requested backend (or the portfolio).
 
     ``backend`` is ``"scipy"``, ``"bnb"``, or ``"auto"``.  Explicit
     backends replicate the monolithic solver behavior exactly (no warm
     start, default node limit, HiGHS-only time limits).  ``"auto"``
-    runs small components on a warm-started, node- and time-capped
-    branch-and-bound; large components — and small ones whose node cap
-    blows — go to the parallel race of :func:`race_component` (``race``
-    forces the race on/off; the default follows this auto policy).
+    runs every component on a warm-started, node- and time-capped
+    branch-and-bound and falls back to HiGHS when that budget runs out;
+    without scipy the branch-and-bound has no node cap and its own
+    budget errors propagate.
 
     ``deadline`` (a :class:`~repro.service.resilience.Deadline`) checks
     the remaining end-to-end budget at entry and caps ``time_limit`` to
@@ -428,32 +277,21 @@ def solve_component(
             )
         if backend == "scipy":
             return _solve_scipy(component, min_count, max_count, time_limit)
-        racing = race if race is not None else scipy_backend.HAVE_SCIPY
-        if choose_backend(component.num_classes, component.num_candidates) == "bnb":
-            try:
-                return _solve_bnb(
-                    component,
-                    min_count,
-                    max_count,
-                    node_limit=AUTO_BNB_NODE_LIMIT if scipy_backend.HAVE_SCIPY else None,
-                    time_limit=time_limit,
-                    warm_start=True,
-                )
-            except SolverCancelled:
-                raise
-            except SolverError:
-                # Node/time budget exhausted: escalate to the race
-                # (previously: sequential HiGHS fallback).
-                if racing:
-                    return race_component(
-                        component, min_count, max_count,
-                        time_limit=time_limit, chaos=race_chaos,
-                    )
-        elif racing:
-            return race_component(
-                component, min_count, max_count,
-                time_limit=time_limit, chaos=race_chaos,
+        try:
+            return _solve_bnb(
+                component,
+                min_count,
+                max_count,
+                node_limit=AUTO_BNB_NODE_LIMIT if scipy_backend.HAVE_SCIPY else None,
+                time_limit=time_limit,
+                warm_start=True,
+                lp_bound=(
+                    True if component.num_candidates > AUTO_BNB_MAX_CANDIDATES else None
+                ),
             )
+        except SolverError:
+            if not scipy_backend.HAVE_SCIPY:
+                raise
         return _solve_scipy(component, min_count, max_count, time_limit)
     except SolverError:
         # A budget-exhausted solver under a deadline cap is a deadline

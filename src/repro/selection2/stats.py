@@ -27,8 +27,9 @@ class SelectionStats:
     backend:
         The requested backend (``"scipy"``, ``"bnb"``, or ``"auto"``).
     backends_used:
-        The backends that actually solved something (the portfolio may
-        race ``bnb`` and fall back to ``scipy`` per component).
+        The backends that actually solved something (the ``auto``
+        portfolio runs ``bnb`` and falls back to ``scipy`` per component
+        when the node cap is hit).
     num_components:
         Independent overlap-graph components the program split into
         (1 for monolithic solves).
@@ -48,11 +49,13 @@ class SelectionStats:
         Branch-and-bound prunes decided only by the LP-relaxation dual
         bound (the cost-share bound alone would have kept searching).
     races:
-        Components decided by the parallel bnb-vs-HiGHS race.
-    race_winner:
-        Per-backend race win counts (diagnostic: the *groups* are
-        invariant to which racer finishes first — see
-        :func:`repro.selection2.portfolio.race_component`).
+        Always 0: the bnb-vs-HiGHS race is gone, and the field stays
+        only because older readers (and records) still carry it.
+    canonical_aborts:
+        Solves whose lex-min tie-break ran out of nodes, so the groups
+        are the backend's own optimum rather than the canonical one
+        (``ComponentSolution.canonical=False``, or the monolithic
+        ``lexmin_optimal_selection`` returning ``None``).
     cache_hits / cache_misses:
         Selection-artifact tier accounting (component solutions served
         from / missing in the :class:`~repro.service.cache.ArtifactCache`).
@@ -73,8 +76,9 @@ class SelectionStats:
     solves: int = 0
     nodes: int = 0
     lp_bound_cuts: int = 0
+    # Read by name by the per-layer benchmark spans; kept at 0.
     races: int = 0
-    race_winner: dict[str, int] = field(default_factory=dict)
+    canonical_aborts: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     seconds: float = 0.0
@@ -86,11 +90,7 @@ class SelectionStats:
         self.solves += 1
         self.nodes += solution.nodes
         self.lp_bound_cuts += getattr(solution, "lp_cuts", 0)
-        if getattr(solution, "raced", False):
-            self.races += 1
-            winner = solution.race_winner
-            if winner:
-                self.race_winner[winner] = self.race_winner.get(winner, 0) + 1
+        self.canonical_aborts += not getattr(solution, "canonical", True)
 
     def as_dict(self) -> dict:
         """Plain-data rendering for batch rows, JSON stores, benchmarks."""
@@ -106,7 +106,7 @@ class SelectionStats:
             "nodes_explored": self.nodes,
             "lp_bound_cuts": self.lp_bound_cuts,
             "races": self.races,
-            "race_winner": dict(self.race_winner),
+            "canonical_aborts": self.canonical_aborts,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "seconds": self.seconds,
@@ -119,7 +119,8 @@ class SelectionStats:
         """Rebuild a record from :meth:`as_dict` output.
 
         ``nodes_explored`` is an alias of ``nodes`` in the JSON form;
-        unknown keys are dropped so older records round-trip too.
+        unknown keys are dropped and missing ones take their defaults, so
+        older records (``race_winner``, no ``canonical_aborts``) load too.
         """
         known = {f for f in cls.__dataclass_fields__}  # noqa: C416 - explicit
         return cls(**{key: value for key, value in data.items() if key in known})

@@ -93,8 +93,8 @@ def _selection_from_dict(payload: dict):
 
     if payload.get("schema") != "gecco-selection/1":
         raise ValueError(f"unknown selection entry schema: {payload.get('schema')!r}")
-    # ``raced``/``race_winner`` are deliberately not persisted: a cache
-    # hit is not a race, so replayed entries carry no race accounting.
+    # ``canonical`` is persisted: a replayed non-canonical optimum must
+    # not pass for the lex-min one.
     return ComponentSolution(
         status=payload["status"],
         groups=tuple(tuple(group) for group in payload["groups"]),

@@ -355,7 +355,15 @@ class TestTracingIsObservational:
         assert [strip(r) for r in traced.rows] == [
             strip(r) for r in plain.rows
         ]
-        assert read_trace(trace)
+        events = read_trace(trace)
+        assert events
+        # Step-2 counters ride on batch rows and the trace ``solve`` event.
+        solves = [e for e in events if e["event"] == "solve"]
+        assert solves
+        for stats in [r["selection"] for r in traced.rows] + [
+            e["selection_stats"] for e in solves
+        ]:
+            assert stats["canonical_aborts"] == 0
 
     def test_pool_executor_traces_lifecycle(self, tmp_path):
         trace = tmp_path / "trace.jsonl"

@@ -109,3 +109,25 @@ class TestTiming:
         )
         assert result.feasible
         assert result.seconds >= 0.2
+
+
+class TestCanonicalAborts:
+    def test_monolithic_abort_is_counted(self, running_log, role_constraints, monkeypatch):
+        """A tie-break out of nodes is counted, not dropped (monolithic path)."""
+        import functools
+
+        from repro.core import selection
+        from repro.core.gecco import Gecco, GeccoConfig
+
+        config = GeccoConfig(selection="monolithic", solver="bnb")
+        clean = Gecco(role_constraints, config).abstract(running_log)
+        assert clean.selection_stats.canonical_aborts == 0
+        monkeypatch.setattr(
+            selection,
+            "lexmin_optimal_selection",
+            functools.partial(selection.lexmin_optimal_selection, node_limit=1),
+        )
+        aborted = Gecco(role_constraints, config).abstract(running_log)
+        assert aborted.selection_stats.canonical_aborts == 1
+        assert aborted.selection_stats.as_dict()["canonical_aborts"] == 1
+        assert aborted.distance == pytest.approx(clean.distance)

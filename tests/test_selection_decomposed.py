@@ -65,6 +65,8 @@ class TestDifferential:
             constraints, GeccoConfig(selection="decomposed", solver=backend)
         ).abstract(running_log)
         assert result_signature(dec) == result_signature(mono)
+        assert mono.selection_stats.canonical_aborts == 0
+        assert dec.selection_stats.canonical_aborts == 0
 
     @pytest.mark.parametrize("backend", ["scipy", "bnb"])
     @pytest.mark.parametrize("set_name", ["role", "Gr"])
@@ -78,6 +80,8 @@ class TestDifferential:
         ).abstract(loan_log)
         assert result_signature(dec) == result_signature(mono)
         assert dec.selection_stats.mode == "decomposed"
+        assert mono.selection_stats.canonical_aborts == 0
+        assert dec.selection_stats.canonical_aborts == 0
 
     def test_synthetic_log(self, small_synthetic_log):
         constraints = ConstraintSet([MaxGroupSize(5)])
@@ -88,6 +92,7 @@ class TestDifferential:
             constraints, GeccoConfig(selection="decomposed")
         ).abstract(small_synthetic_log)
         assert result_signature(dec) == result_signature(mono)
+        assert dec.selection_stats.canonical_aborts == 0
 
     def test_auto_portfolio_matches_exact_backends(self, running_log):
         constraints = ConstraintSet([MaxDistinctClassAttribute(ROLE_KEY, 1)])
@@ -100,6 +105,7 @@ class TestDifferential:
         assert set(auto.grouping.groups) == set(mono.grouping.groups)
         assert auto.distance == pytest.approx(mono.distance)
         assert auto.selection_stats.backends_used
+        assert auto.selection_stats.canonical_aborts == 0
 
     def test_stats_recorded_on_result(self, running_log):
         constraints = ConstraintSet([MaxDistinctClassAttribute(ROLE_KEY, 1)])
@@ -167,6 +173,7 @@ class TestMultiComponentBounds:
             assert set(dec.grouping.groups) == set(mono.grouping.groups)
             assert dec.objective == mono.objective  # bitwise, same sum order
             assert dec.stats.num_components == 2
+            assert mono.canonical and dec.stats.canonical_aborts == 0
 
     def test_missing_coverage_is_infeasible(self):
         log = _two_cluster_log()

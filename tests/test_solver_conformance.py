@@ -1,25 +1,25 @@
 """Solver conformance & property harness for the Step-2 frontier.
 
-Locks down the three solver-frontier behaviors:
+Locks down the solver-frontier behaviors against a brute-force oracle:
 
-* **LP-relaxation bound admissibility** — the dual-price lower bound of
-  :class:`~repro.mip.branch_and_bound.SetPartitionSolver` never exceeds
-  the true optimum on hypothesis-generated weighted set-partitioning
-  instances, so enabling it can never change the returned selection.
+* **LP-relaxation bound admissibility** — the count-aware dual-price
+  lower bound of :class:`~repro.mip.branch_and_bound.SetPartitionSolver`
+  never exceeds the cheapest completion of any partial solution on
+  hypothesis-generated weighted set-partitioning instances, so enabling
+  it can never change the returned selection.
+* **Reduced-cost fixing** — the lex-min tie-break, with candidates
+  dropped by their reduced costs, still returns the oracle's lex-min
+  optimum.
 * **Backend conformance** — ``bnb``, ``bnb + LP``, and HiGHS produce
   byte-identical canonical groupings (the lex-min tie-break) for every
   instance, including tied costs, Eq. 5 count bounds, and infeasible
   programs.
-* **Race determinism** — the parallel bnb-vs-HiGHS race returns the
-  same grouping under any seeded delay/fault schedule, including
-  mid-solve cancellation of the losing branch-and-bound.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-import threading
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,12 +28,11 @@ from repro.exceptions import SolverError
 from repro.mip import scipy_backend
 from repro.mip.branch_and_bound import (
     SetPartitionSolver,
-    SolverCancelled,
     lexmin_optimal_selection,
+    lp_prices,
 )
 from repro.mip.result import SolverStatus
-from repro.selection2 import Component, solve_component
-from repro.selection2.portfolio import race_component
+from repro.selection2 import Component, portfolio, solve_component
 from repro.selection2.stats import SelectionStats
 
 needs_scipy = pytest.mark.skipif(
@@ -44,16 +43,10 @@ needs_scipy = pytest.mark.skipif(
 # -- instance generation & reference oracle -----------------------------
 
 
-def brute_force(classes, candidates, costs, min_count=None, max_count=None):
-    """``(cost, lex-min positions)`` of the optimal exact cover, or ``None``.
-
-    Exhaustive enumeration over candidate subsets; costs are multiples
-    of 0.5 so equal-cost comparisons are float-exact and the lex-min
-    argmin among the optima is well-defined.
-    """
+def feasible_covers(classes, candidates, costs, min_count=None, max_count=None):
+    """Every exact cover within the count bounds, as ``(cost, positions)``."""
     universe = frozenset(classes)
     n = len(candidates)
-    best = None
     for bits in range(1 << n):
         positions = [i for i in range(n) if bits >> i & 1]
         if min_count is not None and len(positions) < min_count:
@@ -69,15 +62,21 @@ def brute_force(classes, candidates, costs, min_count=None, max_count=None):
                 break
             covered |= candidates[position]
             total += costs[position]
-        if not disjoint or covered != universe:
-            continue
-        if (
-            best is None
-            or total < best[0]
-            or (total == best[0] and positions < best[1])
-        ):
-            best = (total, positions)
-    return best
+        if disjoint and covered == universe:
+            yield total, positions
+
+
+def brute_force(classes, candidates, costs, min_count=None, max_count=None):
+    """``(cost, lex-min positions)`` of the optimal exact cover, or ``None``.
+
+    Exhaustive enumeration over candidate subsets; costs are multiples
+    of 0.5 so equal-cost comparisons are float-exact and the lex-min
+    argmin among the optima is well-defined.
+    """
+    return min(
+        feasible_covers(classes, candidates, costs, min_count, max_count),
+        default=None,
+    )
 
 
 @st.composite
@@ -109,7 +108,14 @@ def partition_instances(draw):
     max_count = draw(
         st.one_of(st.none(), st.integers(min_value=1, max_value=num_classes))
     )
-    return classes, candidates, costs, max_count
+    min_count = draw(
+        st.one_of(
+            st.none(),
+            st.integers(min_value=1, max_value=num_classes),
+            st.just(max_count),  # min == max: an exact-count program
+        )
+    )
+    return classes, candidates, costs, min_count, max_count
 
 
 def _component(classes, candidates, costs) -> Component:
@@ -135,7 +141,9 @@ def _dense_instance(num_classes=14, num_candidates=160, seed=7):
     return classes, candidates, costs
 
 
-def _canonical_positions(solver_result, classes, candidates, costs, max_count):
+def _canonical_positions(
+    solver_result, classes, candidates, costs, min_count, max_count
+):
     positions = sorted(
         int(name[1:])
         for name in solver_result.selected()
@@ -146,6 +154,7 @@ def _canonical_positions(solver_result, classes, candidates, costs, max_count):
         list(candidates),
         list(costs),
         target=sum(costs[position] for position in positions),
+        min_count=min_count,
         max_count=max_count,
     )
     return canonical if canonical is not None else positions
@@ -158,43 +167,72 @@ def _canonical_positions(solver_result, classes, candidates, costs, max_count):
 @settings(max_examples=60, deadline=None)
 @given(partition_instances())
 def test_lp_bound_is_admissible(instance):
-    classes, candidates, costs, max_count = instance
-    reference = brute_force(classes, candidates, costs, max_count=max_count)
+    classes, candidates, costs, min_count, max_count = instance
     solver = SetPartitionSolver(
         universe=classes,
         candidates=candidates,
         costs=costs,
+        min_count=min_count,
         max_count=max_count,
     )
     solver._solve_lp_relaxation()
-    if solver._dual is None:
+    if solver.prices is None:
         return  # LP unavailable/failed: nothing to certify
-    root_bound = solver._dual_bound(frozenset())
-    if reference is not None:
-        # Admissibility at the root: the dual bound never exceeds the
-        # optimum, so the optimum itself is never pruned.
-        assert root_bound <= reference[0] + 1e-9
+    for cost, positions in feasible_covers(
+        classes, candidates, costs, min_count, max_count
+    ):
+        # Admissibility at the root and at every partial node on the
+        # way to any feasible cover: the count-aware dual bound never
+        # exceeds the cost of the rest of that cover.
+        for bits in range(1 << len(positions)):
+            picked = [p for i, p in enumerate(positions) if bits >> i & 1]
+            covered = frozenset().union(*(candidates[p] for p in picked))
+            rest = cost - sum(costs[p] for p in picked)
+            assert solver._dual_bound(covered, len(picked)) <= rest + 1e-9
 
 
 @needs_scipy
 @settings(max_examples=60, deadline=None)
 @given(partition_instances())
 def test_lp_bound_preserves_exact_solution(instance):
-    classes, candidates, costs, max_count = instance
+    classes, candidates, costs, min_count, max_count = instance
     plain = SetPartitionSolver(
         universe=classes, candidates=candidates, costs=costs,
-        max_count=max_count,
+        min_count=min_count, max_count=max_count,
     ).solve()
     bounded = SetPartitionSolver(
         universe=classes, candidates=candidates, costs=costs,
-        max_count=max_count, lp_bound=True,
+        min_count=min_count, max_count=max_count, lp_bound=True,
     ).solve()
     assert plain.status is bounded.status
     if plain.status is SolverStatus.OPTIMAL:
         assert _canonical_positions(
-            plain, classes, candidates, costs, max_count
-        ) == _canonical_positions(bounded, classes, candidates, costs, max_count)
+            plain, classes, candidates, costs, min_count, max_count
+        ) == _canonical_positions(
+            bounded, classes, candidates, costs, min_count, max_count
+        )
         assert bounded.nodes_explored <= plain.nodes_explored
+
+
+@settings(max_examples=80, deadline=None)
+@given(partition_instances())
+def test_fixed_lexmin_matches_brute_force(instance):
+    """Reduced-cost fixing never drops a candidate of the lex-min optimum.
+
+    Runs with and without scipy: without it there are no prices, so the
+    search runs unfixed and must still agree with the oracle.
+    """
+    classes, candidates, costs, min_count, max_count = instance
+    reference = brute_force(classes, candidates, costs, min_count, max_count)
+    if reference is None:
+        return
+    target, expected = reference
+    prices = lp_prices(classes, candidates, costs, min_count, max_count)
+    for shared in (prices, None):
+        assert lexmin_optimal_selection(
+            classes, candidates, costs, target,
+            min_count=min_count, max_count=max_count, prices=shared,
+        ) == expected
 
 
 def test_lp_bound_strictly_reduces_nodes():
@@ -225,7 +263,7 @@ def test_lp_bound_off_without_scipy(monkeypatch):
     outcome = solver.solve()
     assert outcome.status is SolverStatus.OPTIMAL
     assert outcome.lp_bound_cuts == 0
-    assert solver._dual is None
+    assert solver.prices is None
 
 
 # -- backend conformance (bnb ± LP ≡ HiGHS, lex-min stability) ----------
@@ -235,16 +273,18 @@ def test_lp_bound_off_without_scipy(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(partition_instances())
 def test_backends_byte_identical(instance):
-    classes, candidates, costs, max_count = instance
+    classes, candidates, costs, min_count, max_count = instance
     component = _component(classes, candidates, costs)
-    reference = brute_force(classes, candidates, costs, max_count=max_count)
+    reference = brute_force(classes, candidates, costs, min_count, max_count)
     outcomes = {
-        backend: solve_component(component, backend=backend, max_count=max_count)
+        backend: solve_component(
+            component, backend=backend, min_count=min_count, max_count=max_count
+        )
         for backend in ("bnb", "scipy", "auto")
     }
     bounded = SetPartitionSolver(
         universe=classes, candidates=candidates, costs=costs,
-        max_count=max_count, lp_bound=True,
+        min_count=min_count, max_count=max_count, lp_bound=True,
     ).solve()
 
     if reference is None:
@@ -259,12 +299,13 @@ def test_backends_byte_identical(instance):
     )
     for backend, solution in outcomes.items():
         assert solution.is_optimal, backend
+        assert solution.canonical, backend
         assert solution.objective == pytest.approx(expected_cost), backend
         # Byte-identical groupings: the canonical lex-min optimum,
-        # regardless of which backend (or race) produced it.
+        # regardless of which backend produced it.
         assert solution.groups == expected_groups, backend
     assert _canonical_positions(
-        bounded, classes, candidates, costs, max_count
+        bounded, classes, candidates, costs, min_count, max_count
     ) == list(expected_positions)
 
 
@@ -278,7 +319,7 @@ def test_lexmin_stable_under_candidate_shuffle(instance, rng):
     sorts), yields the same lex-min optimum — ties are broken by group
     content, never by arrival order.
     """
-    classes, candidates, costs, max_count = instance
+    classes, candidates, costs, min_count, max_count = instance
     paired = list(zip(candidates, costs))
     rng.shuffle(paired)
     resorted = sorted(paired, key=lambda pair: sorted(pair[0]))
@@ -286,112 +327,109 @@ def test_lexmin_stable_under_candidate_shuffle(instance, rng):
         classes, [pair[0] for pair in resorted], [pair[1] for pair in resorted]
     )
     original = solve_component(
-        _component(classes, candidates, costs), backend="bnb", max_count=max_count
+        _component(classes, candidates, costs), backend="bnb",
+        min_count=min_count, max_count=max_count,
     )
-    again = solve_component(shuffled, backend="bnb", max_count=max_count)
+    again = solve_component(
+        shuffled, backend="bnb", min_count=min_count, max_count=max_count
+    )
     assert original.status == again.status
     assert original.groups == again.groups
 
 
-# -- race determinism ---------------------------------------------------
-
-
-class ChaosSchedule:
-    """Seeded per-backend delay/fault injection for the race seam."""
-
-    def __init__(self, delays=None, faults=()):
-        self.delays = delays or {}
-        self.faults = frozenset(faults)
-        self.invoked: list[str] = []
-
-    def __call__(self, name: str) -> None:
-        self.invoked.append(name)
-        if name in self.faults:
-            raise RuntimeError(f"chaos fault injected into {name!r}")
-        delay = self.delays.get(name, 0.0)
-        if delay:
-            time.sleep(delay)
-
-
 @needs_scipy
-def test_race_grouping_invariant_to_finish_order():
+def test_fixing_drops_candidates_and_keeps_the_lexmin(monkeypatch):
     classes, candidates, costs = _dense_instance(num_classes=9, num_candidates=48)
-    component = _component(classes, candidates, costs)
-    baseline = solve_component(component, backend="scipy")
-    assert baseline.is_optimal
+    optimum = SetPartitionSolver(
+        universe=classes, candidates=candidates, costs=costs
+    ).solve()
+    prices = lp_prices(classes, candidates, costs)
+    survivors = [
+        position
+        for position, group in enumerate(candidates)
+        if prices.floor + prices.reduced_cost(group, costs[position])
+        <= optimum.objective + 1e-9 + prices.margin
+    ]
+    assert len(survivors) < len(candidates) // 2
+    fixed = lexmin_optimal_selection(
+        classes, candidates, costs, optimum.objective, prices=prices
+    )
+    monkeypatch.setattr(scipy_backend, "HAVE_SCIPY", False)
+    plain = lexmin_optimal_selection(classes, candidates, costs, optimum.objective)
+    assert plain is not None
+    assert fixed == plain
+    assert set(fixed) <= set(survivors)
 
-    schedules = [ChaosSchedule()]
-    for seed in range(6):
-        rng = random.Random(seed)
-        schedules.append(
-            ChaosSchedule(
-                delays={
-                    "bnb": rng.uniform(0.0, 0.02),
-                    "scipy": rng.uniform(0.0, 0.02),
-                }
-            )
-        )
-    # One racer faulting must concede the race, not corrupt it.
-    schedules.append(ChaosSchedule(faults=("bnb",)))
-    schedules.append(ChaosSchedule(faults=("scipy",)))
 
-    for schedule in schedules:
-        raced = race_component(component, chaos=schedule)
-        assert raced.raced
-        assert raced.race_winner in ("bnb", "scipy")
-        assert raced.is_optimal
-        assert raced.groups == baseline.groups, vars(schedule)
-        assert set(schedule.invoked) == {"bnb", "scipy"}
+#: The grouping of the loan log (80 traces) under BL4 (exactly 12
+#: groups) with DFGk, as the monolithic HiGHS solve picks it.
+LOAN_BL4_GROUPS = [
+    ('A_Accepted', 'W_CompleteApp'),
+    ('A_Cancelled', 'O_Cancelled'),
+    ('A_Complete', 'A_Validating'),
+    ('A_Concept', 'A_Create', 'A_Submitted'),
+    ('A_Denied', 'O_Refused'),
+    ('A_Incomplete', 'O_Returned', 'W_CallIncomplete'),
+    ('A_Pending', 'O_Accepted'),
+    ('O_Create', 'O_Created', 'O_SentMail'),
+    ('O_SentOnline', 'W_CallOffers'),
+    ('W_AssessFraud',),
+    ('W_HandleLeads',),
+    ('W_ValidateApp',),
+]
 
 
 @needs_scipy
-def test_race_survives_midsolve_cancellation():
-    """A losing bnb deep in its tree is cancelled without changing groups."""
+def test_loan_bl4_exact_count_canonicalizes():
+    """An exact-count program whose unfixed tie-break ran out of nodes."""
+    from repro import Gecco, GeccoConfig
+    from repro.datasets import loan_application_log
+    from repro.experiments.configs import constraint_set_for_log
+
+    log = loan_application_log(num_traces=80)
+    result = Gecco(
+        constraint_set_for_log("BL4", log), GeccoConfig.dfg_adaptive()
+    ).abstract(log)
+    assert result.selection_stats.canonical_aborts == 0
+    assert sorted(
+        tuple(sorted(group)) for group in result.grouping.groups
+    ) == LOAN_BL4_GROUPS
+
+
+# -- the auto policy -----------------------------------------------------
+
+
+def test_auto_without_scipy_reports_the_bnb_error(monkeypatch):
+    """Without HiGHS to fall back to, bnb's own budget error surfaces."""
+    monkeypatch.setattr(scipy_backend, "HAVE_SCIPY", False)
     classes, candidates, costs = _dense_instance(
         num_classes=16, num_candidates=220, seed=11
     )
     component = _component(classes, candidates, costs)
-    baseline = solve_component(component, backend="scipy")
-    raced = race_component(
-        component, chaos=ChaosSchedule(delays={"bnb": 0.001})
-    )
-    assert raced.is_optimal
-    assert raced.groups == baseline.groups
+    with pytest.raises(SolverError, match="time limit") as caught:
+        solve_component(component, backend="auto", time_limit=1e-6)
+    assert "requires scipy" not in str(caught.value)
 
 
-@needs_scipy
-def test_race_both_backends_fail():
-    classes, candidates, costs = _dense_instance(num_classes=5, num_candidates=12)
-    component = _component(classes, candidates, costs)
-    with pytest.raises(SolverError):
-        race_component(
-            component, chaos=ChaosSchedule(faults=("bnb", "scipy"))
-        )
-
-
-def test_cancel_event_aborts_search():
-    classes, candidates, costs = _dense_instance()
-    cancel = threading.Event()
-    cancel.set()
-    solver = SetPartitionSolver(
-        universe=classes, candidates=candidates, costs=costs,
-        cancel_event=cancel,
-    )
-    with pytest.raises(SolverCancelled):
-        solver.solve()
-
-
-@needs_scipy
-def test_forced_race_through_solve_component():
+def test_forced_canonical_abort_is_counted(monkeypatch):
+    """A tie-break that runs out of nodes keeps the solver's pick, visibly."""
     classes, candidates, costs = _dense_instance(num_classes=8, num_candidates=30)
     component = _component(classes, candidates, costs)
-    sequential = solve_component(component, backend="auto", race=False)
-    raced = solve_component(component, backend="auto", race=True)
-    # ``auto`` keeps small components on warm bnb even when racing is
-    # allowed; force the race path directly for the comparison too.
-    direct = race_component(component)
-    assert sequential.is_optimal and direct.is_optimal
-    assert sequential.groups == raced.groups == direct.groups
+    clean = solve_component(component, backend="auto")
+    assert clean.canonical
+    monkeypatch.setattr(
+        portfolio,
+        "lexmin_optimal_selection",
+        functools.partial(lexmin_optimal_selection, node_limit=1),
+    )
+    aborted = solve_component(component, backend="auto")
+    assert aborted.is_optimal and not aborted.canonical
+    assert aborted.objective == pytest.approx(clean.objective)
+    stats = SelectionStats()
+    stats.record_solution(clean)
+    stats.record_solution(aborted)
+    assert stats.canonical_aborts == 1
+    assert SelectionStats.from_dict(stats.as_dict()).canonical_aborts == 1
 
 
 # -- stats surfacing ----------------------------------------------------
@@ -408,8 +446,7 @@ def test_selection_stats_fold_race_and_lp_counters():
             objective=1.0,
             nodes=7,
             lp_cuts=3,
-            raced=True,
-            race_winner="scipy",
+            canonical=False,
         )
     )
     stats.record_solution(
@@ -423,10 +460,12 @@ def test_selection_stats_fold_race_and_lp_counters():
     rendered = stats.as_dict()
     assert rendered["nodes_explored"] == 12
     assert rendered["lp_bound_cuts"] == 3
-    assert rendered["races"] == 1
-    assert rendered["race_winner"] == {"scipy": 1}
+    assert rendered["canonical_aborts"] == 1
     back = SelectionStats.from_dict(rendered)
     assert back.nodes == 12
     assert back.lp_bound_cuts == 3
-    assert back.races == 1
-    assert back.race_winner == {"scipy": 1}
+    assert back.canonical_aborts == 1
+    # Records written before the counter existed read 0 aborts.
+    rendered.pop("canonical_aborts")
+    rendered["race_winner"] = {"scipy": 1}
+    assert SelectionStats.from_dict(rendered).canonical_aborts == 0
