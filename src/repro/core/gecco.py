@@ -27,10 +27,10 @@ Typical use::
   once per log, instance detection is vectorized with ``numpy``, groups
   and trace sets are bitmasks, and the beam search extends co-occurrence
   checks incrementally.  Identical candidates, distances, and groupings
-  as the reference engine, typically ≥5× faster on the candidate phase
-  (see ``benchmarks/run_perf.py``).  Requires ``numpy``; when ``numpy``
-  is unavailable the pipeline falls back to ``"python"`` with a
-  ``RuntimeWarning`` and records the effective engine on the result
+  as the reference engine (enforced by
+  ``tests/test_engine_differential.py``).  Requires ``numpy``; when
+  ``numpy`` is unavailable the pipeline falls back to ``"python"`` with
+  a ``RuntimeWarning`` and records the effective engine on the result
   (:attr:`AbstractionResult.engine`).
 * ``"python"`` — the pure-Python reference implementation.  Pick it to
   cross-check results, to debug, or on deployments without ``numpy``.
@@ -189,6 +189,12 @@ class GeccoConfig:
             raise ConstraintError(
                 f"beam_width must be an int, None, or 'auto', got {self.beam_width!r}"
             )
+        if isinstance(self.beam_width, int) and self.beam_width < 1:
+            raise ConstraintError(f"beam_width must be >= 1, got {self.beam_width}")
+        for name in ("candidate_timeout", "solver_time_limit"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConstraintError(f"{name} must be >= 0, got {value}")
         from repro.core.alt_distance import ALTERNATIVE_DISTANCES
 
         known_distances = ("eq1", *ALTERNATIVE_DISTANCES)

@@ -54,8 +54,7 @@ rather than a flat timestamp ordering.
 Tracing is **off-by-default-free**: with no tracer configured the hot
 paths pay a ``None`` check, and with one configured results stay
 byte-identical to an untraced run (tracing never touches computation —
-enforced by the differential tests in ``tests/test_obs.py`` and the
-``observability`` section of ``benchmarks/run_perf.py``).
+enforced by the differential tests in ``tests/test_obs.py``).
 """
 
 from repro.obs.doctor import analyze_trace, recommend, render_report

@@ -53,6 +53,8 @@ import os
 import threading
 import time
 
+from repro.exceptions import ReproError
+
 #: Trace schema tag; bump when event fields change incompatibly.
 #: Span fields (``trace_id``/``span_id``/``parent_span``) are additive
 #: and optional, so span-bearing traces keep the same tag.
@@ -362,11 +364,15 @@ def merge_traces(paths) -> list[dict]:
     Each path is expanded to its rotated/compressed segments
     (:func:`trace_segments`), so a rotated trace contributes both
     generations.  The merge is a stable sort by :func:`_merge_key`.
+    A path with no segment on disk raises :class:`ReproError`: an
+    absent trace is not an empty, healthy one.
     """
     events: list[dict] = []
     seen: set[str] = set()
     for path in paths:
-        segments = trace_segments(path) or [str(path)]
+        segments = trace_segments(path)
+        if not segments:
+            raise ReproError(f"no trace file at {path}")
         for segment in segments:
             if segment in seen:
                 continue

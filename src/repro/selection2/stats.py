@@ -7,7 +7,7 @@ backend spent, and how often the selection-artifact cache served a
 component without solving it.  The record rides on
 :attr:`~repro.core.gecco.AbstractionResult.selection_stats`, survives
 the JSON round-trip of :mod:`repro.service.serialization`, and surfaces
-in ``repro batch`` output rows and ``BENCH_pipeline.json``.
+in ``repro batch`` output rows and the trace ``solve`` event.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ disk use is bounded by twice the byte budget), so a burst of tiny
 selection cells can never evict expensive finished results.
 
 All memory tiers are bounded LRU maps; hit/miss/eviction counters are
-kept per tier and surface in batch reports and ``BENCH_pipeline.json``.
+kept per tier and surface in batch reports and executor ``stats()``.
 All operations are thread-safe (the pool executor's completion
 callbacks run on a helper thread).
 """

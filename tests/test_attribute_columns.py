@@ -10,6 +10,7 @@ the paper's logs, adversarially constructed attribute patterns, and
 hypothesis-generated logs.
 """
 
+import dataclasses
 import itertools
 import random
 from datetime import datetime, timezone
@@ -281,6 +282,39 @@ class TestExhaustiveFrontier:
         assert result.stats.groups_checked == reference.stats.groups_checked
         assert result.stats.groups_expanded == reference.stats.groups_expanded
         assert result.stats.subset_prunes == reference.stats.subset_prunes
+
+    @pytest.mark.parametrize("set_name", ["A", "M", "N", "BL1", "C2"])
+    def test_check_level_matches_per_group_loop(self, set_name):
+        """Batched ``check_level`` ≡ one ``holds`` call per group."""
+        from repro.experiments.configs import constraint_set_for_log
+
+        log = _synthetic_log(8, 25)
+        constraints = constraint_set_for_log(set_name, log)
+        compiled = CompiledLog(log)
+        runs = {}
+        for variant in ("batched", "per_group"):
+            checker = GroupChecker(
+                log, constraints, CompiledInstanceIndex(log, compiled)
+            )
+            if variant == "per_group":
+                checker.check_level = lambda entries, c=checker: [
+                    c.holds_given_satisfying_subset(group)
+                    if pruned
+                    else c.holds(group)
+                    for group, pruned in entries
+                ]
+            result = exhaustive_candidates(
+                log, constraints, checker=checker, compiled=compiled
+            )
+            runs[variant] = (
+                result.groups,
+                dataclasses.replace(result.stats, seconds=0.0),
+                checker.checks_performed,
+                checker.kernel_checks,
+                checker._cache,
+            )
+        assert runs["batched"][0], "no candidates: the frontier never ran"
+        assert runs["batched"] == runs["per_group"]
 
     def test_exhaustive_running_example(self, running_log, role_constraints):
         reference = exhaustive_candidates(running_log, role_constraints)

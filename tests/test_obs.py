@@ -235,6 +235,19 @@ class TestDoctor:
         report = analyze_trace([a, b])
         assert report["events"] == len(events)
 
+    def test_missing_trace_is_an_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        present = tmp_path / "a.jsonl"
+        with open(present, "w", encoding="utf-8") as handle:
+            for event in _synthetic_fault_trace():
+                handle.write(json.dumps(event) + "\n")
+        missing = tmp_path / "missing.jsonl"
+        code = main(["doctor", str(present), str(missing), "--recommend"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
+
 
 class TestMetrics:
     def test_prometheus_exposition_format(self):

@@ -25,6 +25,7 @@ from repro.service import (
     serve_socket,
 )
 from repro.service.dist import DistributedExecutor
+from repro.service.dist.worker import worker_loop
 from repro.service.resilience import (
     AdmissionController,
     BREAKER_CLOSED,
@@ -61,6 +62,11 @@ def _job(size=3, **kwargs):
         job_id=f"re-size{size}",
         **kwargs,
     )
+
+
+def _sequential_signature(job) -> str:
+    """The reference result that admission must never change."""
+    return result_signature(SequentialExecutor().submit(job).result())
 
 
 def _expired_job(size=3, **kwargs):
@@ -386,9 +392,10 @@ class TestExecutorAdmission:
             high = pool.submit(_job(5), priority=5)
             with pytest.raises(Overloaded, match="shed at max_load"):
                 low.result(timeout=30)
-            assert high.result(timeout=60).feasible
+            admitted = high.result(timeout=60)
             assert blocker.result(timeout=30) == "slept"
             assert pool.stats()["admission"]["shed_load"] == 1
+        assert result_signature(admitted) == _sequential_signature(_job(5))
 
     def test_pool_sheds_incoming_when_nothing_ranks_below(self):
         with PoolExecutor(workers=1, max_load=1) as pool:
@@ -422,9 +429,9 @@ class TestExecutorAdmission:
     def test_distributed_sheds_at_max_load(self, tmp_path):
         # No workers: submitted jobs stay in flight, so the load bound
         # is hit deterministically.
+        broker_url = f"fs://{tmp_path / 'q'}"
         with DistributedExecutor(
-            f"fs://{tmp_path / 'q'}", workers=0, poll_interval=0.02,
-            max_load=1,
+            broker_url, workers=0, poll_interval=0.02, max_load=1,
         ) as pool:
             low = pool.submit(_job(3), priority=0)
             high = pool.submit(_job(5), priority=5)
@@ -432,6 +439,18 @@ class TestExecutorAdmission:
                 low.result(timeout=30)
             assert not high.done()
             assert pool.stats()["admission"]["shed_load"] == 1
+            # A late-joining worker runs the admitted job.
+            worker = threading.Thread(
+                target=worker_loop,
+                args=(broker_url,),
+                kwargs=dict(poll_interval=0.02, max_tasks=1, idle_exit=10.0),
+                daemon=True,
+            )
+            worker.start()
+            admitted = high.result(timeout=60)
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        assert result_signature(admitted) == _sequential_signature(_job(5))
 
     def test_make_executor_wires_degradation_and_admission(self, tmp_path):
         executor = make_executor(

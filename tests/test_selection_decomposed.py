@@ -35,7 +35,13 @@ from repro.selection2 import (
     verify_certificate,
 )
 from repro.selection2.pipeline import component_cache_key
-from repro.service import ArtifactCache, LogRef, AbstractionJob, SequentialExecutor
+from repro.service import (
+    AbstractionJob,
+    ArtifactCache,
+    LogRef,
+    PoolExecutor,
+    SequentialExecutor,
+)
 from repro.service.serialization import result_signature
 
 
@@ -466,20 +472,32 @@ class TestSelectionCacheAndParallel:
         candidates = _cluster_candidates()
         distance = DistanceFunction(log)
         cache = ArtifactCache()
-        first = select_decomposed(
-            log, candidates, distance, max_groups=3, cache=cache
-        )
-        again = select_decomposed(
-            log, candidates, distance, max_groups=3, cache=cache
-        )
+
+        def select(bound):
+            outcome = select_decomposed(
+                log, candidates, distance, max_groups=bound, cache=cache
+            )
+            # Solved or served from the tier, the grouping is the
+            # monolithic one at the same bound.
+            mono = select_optimal_grouping(
+                log, candidates, distance, max_groups=bound
+            )
+            assert outcome.feasible == mono.feasible, bound
+            if mono.feasible:
+                assert set(outcome.grouping.groups) == set(mono.grouping.groups)
+                assert outcome.objective == mono.objective
+            return outcome
+
+        first = select(3)
+        again = select(3)
         assert first.feasible and again.feasible
         assert again.stats.cache_hits > 0
         assert again.stats.solves == 0
         # A different bound still reuses the per-count cells it shares.
-        widened = select_decomposed(
-            log, candidates, distance, max_groups=4, cache=cache
-        )
+        widened = select(4)
         assert widened.stats.cache_hits > 0
+        for bound in (None, 1, 2, 3, 4, 5):
+            select(bound)
 
     def test_timed_out_solves_are_not_cached(self, monkeypatch):
         """A timeout is not a proof — it must never poison the tier."""
@@ -507,14 +525,28 @@ class TestSelectionCacheAndParallel:
         assert solution.is_optimal
         assert cache.stats.selection.stores == 1
 
-    def test_executor_dispatch_matches_inline(self):
+    @pytest.mark.parametrize("dispatch", ["sequential", "pool", "workers"])
+    def test_executor_dispatch_matches_inline(self, dispatch):
         log = _two_cluster_log()
         candidates = _cluster_candidates()
         distance = DistanceFunction(log)
         inline = select_decomposed(log, candidates, distance)
-        routed = select_decomposed(
-            log, candidates, distance, executor=SequentialExecutor()
-        )
+        if dispatch == "workers":
+            # The transient pool behind ``GeccoConfig.selection_workers``.
+            routed = select_decomposed(log, candidates, distance, workers=2)
+        else:
+            executor = (
+                SequentialExecutor()
+                if dispatch == "sequential"
+                else PoolExecutor(workers=2)
+            )
+            try:
+                routed = select_decomposed(
+                    log, candidates, distance, executor=executor
+                )
+            finally:
+                executor.shutdown()
+        assert routed.stats.num_components == 2
         assert set(routed.grouping.groups) == set(inline.grouping.groups)
         assert routed.objective == inline.objective
 
@@ -543,4 +575,14 @@ class TestSelectionCacheAndParallel:
             GeccoConfig(selection="fractal")
         with pytest.raises(ConstraintError):
             GeccoConfig(selection_workers=0)
+        for invalid in (
+            {"beam_width": 0},
+            {"beam_width": -2},
+            {"candidate_timeout": -1},
+            {"solver_time_limit": -1},
+        ):
+            with pytest.raises(ConstraintError):
+                GeccoConfig(**invalid)
         assert GeccoConfig(solver="auto").solver == "auto"
+        # A zero budget is valid: Step 1 stops at once, the row stays.
+        assert GeccoConfig(candidate_timeout=0.0).candidate_timeout == 0.0
