@@ -30,19 +30,17 @@ import math
 from collections import Counter
 from collections.abc import Iterable
 
-from repro.core.distance import interrupts, missing
-from repro.core.instances import InstanceIndex
-from repro.eventlog.events import EventLog
+from repro.core.distance import DistanceFunction, interrupts, missing
 from repro.exceptions import GroupingError
 
 
-class _CachedDistance:
-    """Shared memoization and instance plumbing for the alternatives."""
+class _CachedDistance(DistanceFunction):
+    """Shared memoization and instance plumbing for the alternatives.
 
-    def __init__(self, log: EventLog, instance_index: InstanceIndex | None = None):
-        self.log = log
-        self.instances = instance_index or InstanceIndex(log)
-        self._cache: dict[frozenset[str], float] = {}
+    Inherits the log, instance index, memo, ``costs`` and
+    ``grouping_distance`` of :class:`DistanceFunction`; each alternative
+    supplies only :meth:`_compute`.
+    """
 
     def group_distance(self, group: Iterable[str]) -> float:
         group = frozenset(group)
@@ -51,9 +49,6 @@ class _CachedDistance:
         if group not in self._cache:
             self._cache[group] = self._compute(group)
         return self._cache[group]
-
-    def grouping_distance(self, grouping: Iterable[Iterable[str]]) -> float:
-        return sum(self.group_distance(group) for group in grouping)
 
     def _compute(self, group: frozenset[str]) -> float:  # pragma: no cover
         raise NotImplementedError

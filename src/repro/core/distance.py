@@ -22,7 +22,7 @@ The distance of a grouping is the sum of its groups' distances (Eq. 2).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from repro.core.instances import InstanceIndex
 from repro.eventlog.events import EventLog
@@ -93,6 +93,10 @@ class DistanceFunction:
             value = total / len(instances) + 1.0 / size
         self._cache[group] = value
         return value
+
+    def costs(self, groups: Sequence[Iterable[str]]) -> list[float]:
+        """Step 2's cost vector: :meth:`group_distance` of each group, in order."""
+        return [self.group_distance(group) for group in groups]
 
     def grouping_distance(self, grouping: Iterable[Iterable[str]]) -> float:
         """``dist(G, L)`` per Eq. 2: the sum over the grouping's groups."""

@@ -735,6 +735,12 @@ class CompiledDistanceFunction(DistanceFunction):
                 self.instances.stats(group), len(group)
             )
 
+    def costs(self, groups: Sequence[Iterable[str]]) -> list[float]:
+        """Step 2's cost vector, uncached groups primed in batched sweeps."""
+        groups = [frozenset(group) for group in groups]
+        self.prime(groups)
+        return [self.group_distance(group) for group in groups]
+
     def group_distance(self, group: Iterable[str]) -> float:
         group = frozenset(group)
         if not group:

@@ -15,7 +15,9 @@ non-decreasing distance.
 
 Both Step-2 backends are supported: the HiGHS backend receives the cut
 as an explicit linear constraint; the branch-and-bound backend receives
-the excluded selections as forbidden solutions.
+the excluded selections as forbidden solutions.  The rules judge the
+canonical lex-min optimum among the selections not cut yet, so both
+backends walk the same groupings.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from repro.core.instances import InstanceIndex
 from repro.core.selection import BACKENDS, build_program
 from repro.eventlog.events import EventLog
 from repro.exceptions import SolverError
-from repro.mip.branch_and_bound import SetPartitionSolver
+from repro.mip.branch_and_bound import PartitionProgram, SetPartitionSolver
+from repro.mip.branch_and_bound import lexmin_optimal_selection
 from repro.mip.model import LE
 from repro.mip.result import SolverStatus
 from repro.mip import scipy_backend
@@ -63,7 +66,7 @@ class _ForbiddenAwareSolver(SetPartitionSolver):
     def _search(self, covered, selection, cost):
         # Reject complete solutions matching a forbidden selection by
         # inflating their cost check at the leaf.
-        if len(covered) == len(self.universe):
+        if covered == self.universe:
             if frozenset(selection) in self._forbidden:
                 self._nodes += 1
                 return
@@ -93,25 +96,25 @@ def select_with_grouping_rules(
     index = instance_index or InstanceIndex(log)
     universe = log.classes
     ordered = sorted(candidates, key=lambda group: sorted(group))
-    positions = {group: i for i, group in enumerate(ordered)}
-    costs = [distance.group_distance(group) for group in ordered]
+    costs = distance.costs(ordered)
+    partition = PartitionProgram.encode(universe, ordered, costs)
 
     cuts: list[frozenset[int]] = []
     rejected: list[list[frozenset[str]]] = []
 
     for iteration in range(1, max_iterations + 1):
+        prices = None
         if backend == "bnb":
             solver = _ForbiddenAwareSolver(
-                universe=sorted(universe),
-                candidates=ordered,
-                costs=costs,
+                partition,
                 min_count=min_groups,
                 max_count=max_groups,
                 forbidden=cuts,
             )
             outcome = solver.solve()
+            prices = solver.prices
         else:
-            program = build_program(ordered, costs, universe, min_groups, max_groups)
+            program = build_program(partition, min_groups, max_groups)
             for cut in cuts:
                 program.add_constraint(
                     {f"g{i}": 1.0 for i in cut}, LE, float(len(cut) - 1),
@@ -130,15 +133,20 @@ def select_with_grouping_rules(
                 seconds=time.perf_counter() - started,
             )
 
-        selected = [
-            ordered[int(name[1:])]
-            for name in outcome.selected()
-            if name.startswith("g")
-        ]
+        positions = sorted(
+            int(name[1:]) for name in outcome.selected() if name.startswith("g")
+        )
+        target = sum(costs[position] for position in positions)
+        canonical = lexmin_optimal_selection(
+            partition, target, min_groups, max_groups, prices=prices, forbidden=cuts
+        )
+        if canonical is not None:
+            positions = canonical
+        selected = [ordered[position] for position in positions]
         grouping_instances = {group: index.events(group) for group in selected}
         if all(rule.check(grouping_instances) for rule in rules):
             grouping = Grouping(selected, universe)
-            objective = sum(distance.group_distance(group) for group in selected)
+            objective = sum(costs[position] for position in positions)
             return LazySelectionResult(
                 grouping=grouping,
                 objective=objective,
@@ -149,7 +157,7 @@ def select_with_grouping_rules(
                 seconds=time.perf_counter() - started,
             )
         rejected.append(list(selected))
-        cuts.append(frozenset(positions[group] for group in selected))
+        cuts.append(frozenset(positions))
 
     raise SolverError(
         f"lazy selection exceeded {max_iterations} iterations "

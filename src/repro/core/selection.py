@@ -31,7 +31,8 @@ from repro.core.distance import DistanceFunction
 from repro.core.grouping import Grouping
 from repro.eventlog.events import EventLog
 from repro.exceptions import SolverError
-from repro.mip.branch_and_bound import SetPartitionSolver, lexmin_optimal_selection
+from repro.mip.branch_and_bound import PartitionProgram, SetPartitionSolver, bits_of
+from repro.mip.branch_and_bound import lexmin_optimal_selection
 from repro.mip.model import EQ, GE, LE, BinaryProgram
 from repro.mip.result import SolverStatus
 from repro.mip import scipy_backend
@@ -73,42 +74,40 @@ class SelectionResult:
 
 
 def build_program(
-    candidates: list[frozenset[str]],
-    costs: list[float],
-    universe: frozenset[str],
+    partition: PartitionProgram,
     min_groups: int | None = None,
     max_groups: int | None = None,
 ) -> BinaryProgram:
     """Build the paper-literal binary program (Eqs. 3–5).
 
     Variables ``g<i>`` select candidate groups; variables ``c<j>`` mark
-    classes as covered.  Eq. 4 ties the two (each class is covered by
-    exactly the number of selected groups containing it — forced to one
-    by binarity), Eq. 3 requires all classes covered.
+    classes as covered (``j`` in sorted class order).  Eq. 4 ties the
+    two (each class is covered by exactly the number of selected groups
+    containing it — forced to one by binarity), Eq. 3 requires all
+    classes covered.
     """
     program = BinaryProgram()
-    class_order = sorted(universe)
-    for position, cost in enumerate(costs):
+    class_bits = bits_of(partition.classes)
+    candidates = partition.candidates
+    for position, cost in enumerate(partition.costs):
         program.add_variable(f"g{position}", cost)
-    for j, _cls in enumerate(class_order):
+    for j in range(len(class_bits)):
         program.add_variable(f"c{j}", 0.0)
 
     # Eq. 3: Σ covered_cj = |C_L|
     program.add_constraint(
-        {f"c{j}": 1.0 for j in range(len(class_order))},
+        {f"c{j}": 1.0 for j in range(len(class_bits))},
         EQ,
-        float(len(class_order)),
+        float(len(class_bits)),
         name="all-covered",
     )
     # Eq. 4: Σ_{(g_i, c_j) ∈ E} selected_gi = covered_cj  ∀ c_j
-    for j, cls in enumerate(class_order):
+    for j, bit in enumerate(class_bits):
         coefficients = {
-            f"g{i}": 1.0
-            for i, candidate in enumerate(candidates)
-            if cls in candidate
+            f"g{i}": 1.0 for i, candidate in enumerate(candidates) if candidate & bit
         }
         coefficients[f"c{j}"] = -1.0
-        program.add_constraint(coefficients, EQ, 0.0, name=f"cover[{cls}]")
+        program.add_constraint(coefficients, EQ, 0.0, name=f"cover[c{j}]")
     # Eq. 5: bounds on the number of selected groups.
     selector = {f"g{i}": 1.0 for i in range(len(candidates))}
     if max_groups is not None:
@@ -140,7 +139,8 @@ def select_optimal_grouping(
     started = time.perf_counter()
     universe = log.classes
     ordered = sorted(candidates, key=lambda group: sorted(group))
-    costs = [distance.group_distance(group) for group in ordered]
+    costs = distance.costs(ordered)
+    partition = PartitionProgram.encode(universe, ordered, costs)
     if backend == "auto":
         from repro.selection2.portfolio import choose_backend
 
@@ -149,16 +149,12 @@ def select_optimal_grouping(
     prices = None
     if backend == "bnb":
         solver = SetPartitionSolver(
-            universe=sorted(universe),
-            candidates=ordered,
-            costs=costs,
-            min_count=min_groups,
-            max_count=max_groups,
+            partition, min_count=min_groups, max_count=max_groups
         )
         outcome = solver.solve()
         prices = solver.prices
     else:
-        program = build_program(ordered, costs, universe, min_groups, max_groups)
+        program = build_program(partition, min_groups, max_groups)
         outcome = scipy_backend.solve(program, time_limit=time_limit)
 
     if outcome.status is not SolverStatus.OPTIMAL:
@@ -182,9 +178,7 @@ def select_optimal_grouping(
     # pick with the lexicographically-smallest optimal selection so
     # scipy/bnb and monolithic/decomposed all agree byte-for-byte.
     canonical = lexmin_optimal_selection(
-        sorted(universe),
-        ordered,
-        costs,
+        partition,
         target=sum(costs[position] for position in positions),
         min_count=min_groups,
         max_count=max_groups,
@@ -192,9 +186,8 @@ def select_optimal_grouping(
     )
     if canonical is not None:
         positions = canonical
-    selected = [ordered[position] for position in positions]
-    grouping = Grouping(selected, universe)
-    objective = sum(distance.group_distance(group) for group in selected)
+    grouping = Grouping([ordered[position] for position in positions], universe)
+    objective = sum(costs[position] for position in positions)
     return SelectionResult(
         grouping=grouping,
         objective=objective,

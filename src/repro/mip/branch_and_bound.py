@@ -40,7 +40,8 @@ Search strategy
 The same prices make the lex-min tie-break cheap
 (:func:`lexmin_optimal_selection`): a candidate whose reduced cost
 lifts the LP bound above the optimum is in no optimal cover, so it is
-dropped before the tie-break search runs.
+dropped before the tie-break search runs.  Programs arrive encoded
+(:class:`PartitionProgram`), so every class set is an integer mask.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.exceptions import SolverError
@@ -64,11 +65,78 @@ _TIME_CHECK_INTERVAL = 1024
 LP_ACTIVATION_NODES = 2048
 
 
+def bits_of(mask: int) -> list[int]:
+    """The single-bit masks set in ``mask``, in ascending order."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low)
+        mask ^= low
+    return bits
+
+
+class ClassEncoder:
+    """Step 2's one class-to-bit map: bit ``i`` is ``classes[i]``.
+
+    ``classes`` is the sorted universe, so ascending bit order is sorted
+    class order (the order float sums over classes run in) and no mask
+    depends on ``PYTHONHASHSEED``.
+    """
+
+    def __init__(self, universe: Iterable[str]):
+        self.classes: tuple[str, ...] = tuple(sorted(set(universe)))
+        self._bit = {cls: 1 << index for index, cls in enumerate(self.classes)}
+        #: The mask of the whole universe.
+        self.full = (1 << len(self.classes)) - 1
+
+    def mask(self, group: Iterable[str]) -> int:
+        """The mask of ``group``; a class outside the universe is an error."""
+        mask = 0
+        for cls in group:
+            bit = self._bit.get(cls)
+            if bit is None:
+                raise SolverError(f"class {cls!r} is not in the universe")
+            mask |= bit
+        return mask
+
+    def names(self, mask: int) -> tuple[str, ...]:
+        """The classes of ``mask``, sorted."""
+        return tuple(self.classes[bit.bit_length() - 1] for bit in bits_of(mask))
+
+
+@dataclass(frozen=True)
+class PartitionProgram:
+    """A weighted set-partitioning program on class bitmasks: cover the
+    ``classes`` mask exactly once with ``candidates`` masks of ``costs``.
+    """
+
+    bits: ClassEncoder
+    classes: int
+    candidates: tuple[int, ...]
+    costs: tuple[float, ...]
+
+    @classmethod
+    def encode(cls, universe: Iterable[str], candidates: Iterable, costs: Iterable):
+        """Encode a program over ``universe`` from class-set candidates."""
+        bits = ClassEncoder(universe)
+        return cls(bits, bits.full, tuple(map(bits.mask, candidates)), tuple(costs))
+
+    @property
+    def num_classes(self) -> int:
+        """Size of the class universe to cover."""
+        return self.classes.bit_count()
+
+    @property
+    def num_candidates(self) -> int:
+        """Number of candidate groups."""
+        return len(self.candidates)
+
+
 @dataclass(frozen=True)
 class LPPrices:
     """Exactly dual-feasible prices of the covering LP with count rows.
 
-    ``classes`` maps each class to its price ``y_c``; ``at_least`` and
+    ``classes`` maps each class bit to its price ``y_c``; ``at_least`` and
     ``at_most`` are the prices ``μ_lo, μ_hi ≥ 0`` of the ``Σx ≥ min``
     and ``Σx ≤ max`` rows (0 without the row).  Every candidate's
     :meth:`reduced_cost` is ≥ 0, so an exact cover ``S`` within the
@@ -76,26 +144,26 @@ class LPPrices:
     where ``floor = Σ_c y_c + min·μ_lo − max·μ_hi``.  ``margin`` bounds
     the float-summation error of every comparison made against these
     prices (plain per-node sums, and the searches' running costs).
+    ``reduced`` holds every candidate's reduced cost, by position.
     """
 
-    classes: dict[str, float]
+    classes: dict[int, float]
     at_least: float
     at_most: float
     floor: float
     margin: float
+    reduced: tuple[float, ...] = ()
 
-    def reduced_cost(self, group, cost: float) -> float:
+    def reduced_cost(self, group: int, cost: float) -> float:
         """``cost − y(group) − μ_lo + μ_hi``, correctly rounded."""
         return math.fsum(
             [cost, -self.at_least, self.at_most]
-            + [-self.classes[cls] for cls in group]
+            + [-self.classes[bit] for bit in bits_of(group)]
         )
 
 
 def lp_prices(
-    universe: Sequence[str],
-    candidates: Sequence[frozenset[str]],
-    costs: Sequence[float],
+    program: PartitionProgram,
     min_count: int | None = None,
     max_count: int | None = None,
 ) -> LPPrices | None:
@@ -112,11 +180,14 @@ def lp_prices(
     """
     from repro.mip import scipy_backend
 
+    candidates, costs = program.candidates, program.costs
     if not scipy_backend.HAVE_SCIPY or not candidates:
         return None
     np = scipy_backend.np
-    classes = sorted(set(universe))
-    rows = {cls: row for row, cls in enumerate(classes)}
+    classes = bits_of(program.classes)
+    row_of = {bit: row for row, bit in enumerate(classes)}
+    #: Each candidate's classes as LP rows (ascending).
+    members = [[row_of[bit] for bit in bits_of(candidate)] for candidate in candidates]
     count_rows = [
         (sign, sign * float(bound))
         for sign, bound in ((-1.0, min_count), (1.0, max_count))
@@ -126,9 +197,10 @@ def lp_prices(
         from scipy.optimize import linprog
 
         matrix = np.zeros((len(classes), len(candidates)))
-        for position, candidate in enumerate(candidates):
-            for cls in candidate:
-                matrix[rows[cls], position] = 1.0
+        matrix[
+            [row for rows in members for row in rows],
+            [position for position, rows in enumerate(members) for _ in rows],
+        ] = 1.0
         outcome = linprog(
             np.asarray(costs, dtype=float),
             A_ub=(
@@ -144,7 +216,7 @@ def lp_prices(
         )
         if outcome.status != 0 or outcome.eqlin is None:
             return None
-        prices = {cls: float(outcome.eqlin.marginals[rows[cls]]) for cls in classes}
+        prices = [float(value) for value in outcome.eqlin.marginals]
         # ``linprog`` reports ≤-row marginals as ≤ 0; the count prices
         # are their negations.
         count_prices = (
@@ -159,41 +231,37 @@ def lp_prices(
 
     def slacks(prices):
         return [
-            math.fsum(
-                [costs[position], -at_least, at_most]
-                + [-prices[cls] for cls in candidate]
-            )
-            for position, candidate in enumerate(candidates)
+            math.fsum([cost, -at_least, at_most] + [-prices[row] for row in rows])
+            for cost, rows in zip(costs, members)
         ]
 
-    reduction = dict.fromkeys(classes, 0.0)
-    for candidate, slack in zip(candidates, slacks(prices)):
+    reduction = [0.0] * len(classes)
+    for rows, slack in zip(members, slacks(prices)):
         if slack < 0:
-            share = -slack / len(candidate)
-            for cls in candidate:
-                reduction[cls] = max(reduction[cls], share)
-    prices = {cls: prices[cls] - reduction[cls] for cls in classes}
-    residual = -min(slacks(prices))
+            share = -slack / len(rows)
+            for row in rows:
+                reduction[row] = max(reduction[row], share)
+    prices = [price - cut for price, cut in zip(prices, reduction)]
+    reduced = slacks(prices)
+    residual = -min(reduced)
     if residual > 0.0:
         # Rounding down makes every class drop by at least the residual.
-        prices = {
-            cls: math.nextafter(value - residual, -math.inf)
-            for cls, value in prices.items()
-        }
-        if min(slacks(prices)) < 0.0:  # pragma: no cover - by construction
+        prices = [math.nextafter(value - residual, -math.inf) for value in prices]
+        reduced = slacks(prices)
+        if min(reduced) < 0.0:  # pragma: no cover - by construction
             return None
     lower = (min_count or 0) * at_least
     upper = (max_count or 0) * at_most
     scale = math.fsum(
-        [abs(value) for value in prices.values()]
-        + [lower, upper, len(classes) * max(costs)]
+        [abs(value) for value in prices] + [lower, upper, len(classes) * max(costs)]
     )
     return LPPrices(
-        classes=prices,
+        classes=dict(zip(classes, prices)),
         at_least=at_least,
         at_most=at_most,
-        floor=math.fsum(list(prices.values()) + [lower, -upper]),
+        floor=math.fsum(prices + [lower, -upper]),
         margin=4.0 * (len(classes) + 3) * sys.float_info.epsilon * scale,
+        reduced=tuple(reduced),
     )
 
 
@@ -202,12 +270,9 @@ class SetPartitionSolver:
 
     Parameters
     ----------
-    universe:
-        Event classes that must each be covered exactly once.
-    candidates:
-        Candidate groups (subsets of the universe).
-    costs:
-        Cost per candidate, parallel to ``candidates``.  Costs must be
+    program:
+        The encoded program: every class of ``program.classes`` must be
+        covered exactly once by disjoint candidates.  Costs must be
         non-negative for the bound to be admissible.
     min_count / max_count:
         Optional bounds on the number of selected candidates.
@@ -236,9 +301,7 @@ class SetPartitionSolver:
 
     def __init__(
         self,
-        universe: Sequence[str],
-        candidates: Sequence[frozenset[str]],
-        costs: Sequence[float],
+        program: PartitionProgram,
         min_count: int | None = None,
         max_count: int | None = None,
         node_limit: int = 2_000_000,
@@ -246,41 +309,49 @@ class SetPartitionSolver:
         time_limit: float | None = None,
         lp_bound: bool | None = None,
     ):
-        if len(candidates) != len(costs):
+        if len(program.candidates) != len(program.costs):
             raise SolverError("candidates and costs must have equal length")
-        if any(cost < 0 for cost in costs):
+        if program.costs and min(program.costs) < 0:
             raise SolverError("set-partition costs must be non-negative")
-        self.universe = tuple(sorted(set(universe)))
-        self.candidates = [frozenset(candidate) for candidate in candidates]
+        self.program = program
+        self.universe = program.classes
+        self.candidates = list(program.candidates)
+        outside = ~self.universe
         for candidate in self.candidates:
-            if not candidate <= set(self.universe):
+            if candidate & outside:
                 raise SolverError(
-                    f"candidate {sorted(candidate)} is not a subset of the universe"
+                    f"candidate {list(program.bits.names(candidate))} "
+                    "is not a subset of the universe"
                 )
             if not candidate:
                 raise SolverError("empty candidate group")
-        self.costs = [float(cost) for cost in costs]
+        self.costs = [float(cost) for cost in program.costs]
         self.min_count = min_count
         self.max_count = max_count
         self.node_limit = node_limit
 
-        self._by_class: dict[str, list[int]] = {cls: [] for cls in self.universe}
-        for position, candidate in enumerate(self.candidates):
-            for cls in candidate:
-                self._by_class[cls].append(position)
-        # Candidates per class in ascending cost-per-class order.
-        for cls, positions in self._by_class.items():
-            positions.sort(key=lambda p: self.costs[p] / len(self.candidates[p]))
-        self._min_share = {
-            cls: min(
-                (self.costs[p] / len(self.candidates[p]) for p in positions),
-                default=math.inf,
-            )
-            for cls, positions in self._by_class.items()
+        sizes = [candidate.bit_count() for candidate in self.candidates]
+        shares = [cost / size for cost, size in zip(self.costs, sizes)]
+        # Candidates per class in ascending cost-per-class order (ties by
+        # position): fill the class lists in one stably sorted pass.
+        by_class: dict[int, list[tuple[int, int]]] = {
+            bit: [] for bit in bits_of(self.universe)
         }
-        self._max_candidate_size = max(
-            (len(candidate) for candidate in self.candidates), default=1
-        )
+        for position in sorted(range(len(shares)), key=shares.__getitem__):
+            candidate = rest = self.candidates[position]
+            while rest:
+                low = rest & -rest
+                by_class[low].append((position, candidate))
+                rest ^= low
+        #: ``(class bit, [(position, mask), ...])`` in ascending bit order.
+        self._by_class = list(by_class.items())
+        #: ``(class bit, cheapest cost share)`` in ascending bit order.
+        self._min_share = [
+            (bit, shares[options[0][0]] if options else math.inf)
+            for bit, options in self._by_class
+        ]
+        self._num_classes = len(by_class)
+        self._max_candidate_size = max(sizes, default=1)
 
         self._best_cost = math.inf
         self._best_selection: list[int] | None = None
@@ -299,7 +370,7 @@ class SetPartitionSolver:
     def _adopt_incumbent(self, incumbent: "tuple[Sequence[int], float]") -> None:
         """Validate a warm-start selection and seed the upper bound."""
         positions = list(incumbent[0])
-        covered: set[str] = set()
+        covered = 0
         cost = 0.0
         for position in positions:
             if not 0 <= position < len(self.candidates):
@@ -309,7 +380,7 @@ class SetPartitionSolver:
                 raise SolverError("incumbent selection is not disjoint")
             covered |= group
             cost += self.costs[position]
-        if covered != set(self.universe):
+        if covered != self.universe:
             raise SolverError("incumbent selection does not cover the universe")
         if self.min_count is not None and len(positions) < self.min_count:
             raise SolverError("incumbent selection violates min_count")
@@ -322,8 +393,9 @@ class SetPartitionSolver:
 
     def solve(self) -> SolverResult:
         """Run the search; returns an optimal selection or infeasibility."""
-        if any(not positions for positions in self._by_class.values()):
-            missing = [cls for cls, pos in self._by_class.items() if not pos]
+        bare = sum(bit for bit, options in self._by_class if not options)
+        if bare:
+            missing = list(self.program.bits.names(bare))
             return SolverResult(
                 SolverStatus.INFEASIBLE,
                 message=f"classes without covering candidate: {missing}",
@@ -339,7 +411,7 @@ class SetPartitionSolver:
             self._deadline = time.perf_counter() + self._time_limit
         if self._lp_bound is True:
             self._solve_lp_relaxation()
-        self._search(frozenset(), [], 0.0)
+        self._search(0, [], 0.0)
         if self._best_selection is None:
             return SolverResult(
                 SolverStatus.INFEASIBLE,
@@ -361,7 +433,7 @@ class SetPartitionSolver:
     def selected_groups(self, result: SolverResult) -> list[frozenset[str]]:
         """Decode a result's selected variables back into groups."""
         return [
-            self.candidates[int(name[1:])]
+            frozenset(self.program.bits.names(self.candidates[int(name[1:])]))
             for name in result.selected()
         ]
 
@@ -370,23 +442,18 @@ class SetPartitionSolver:
     def _solve_lp_relaxation(self) -> None:
         """Solve the LP relaxation once (see :func:`lp_prices`)."""
         self._lp_tried = True
-        self.prices = lp_prices(
-            self.universe, self.candidates, self.costs,
-            self.min_count, self.max_count,
-        )
+        self.prices = lp_prices(self.program, self.min_count, self.max_count)
 
     # -- search --------------------------------------------------------------
 
-    def _lower_bound(self, covered: frozenset[str]) -> float:
-        return sum(
-            self._min_share[cls] for cls in self.universe if cls not in covered
-        )
+    def _lower_bound(self, covered: int) -> float:
+        return sum(share for bit, share in self._min_share if not covered & bit)
 
-    def _dual_bound(self, covered: frozenset[str], count: int) -> float:
+    def _dual_bound(self, covered: int, count: int) -> float:
         prices = self.prices
         assert prices is not None
         bound = (
-            sum(prices.classes[cls] for cls in self.universe if cls not in covered)
+            sum(price for bit, price in prices.classes.items() if not covered & bit)
             - prices.margin
         )
         if self.min_count is not None:
@@ -395,8 +462,8 @@ class SetPartitionSolver:
             bound -= (self.max_count - count) * prices.at_most
         return bound
 
-    def _cardinality_prunes(self, covered: frozenset[str], count: int) -> bool:
-        remaining = len(self.universe) - len(covered)
+    def _cardinality_prunes(self, covered: int, count: int) -> bool:
+        remaining = self._num_classes - covered.bit_count()
         if self.max_count is not None:
             # Even the largest candidates cannot cover the rest within budget.
             needed = math.ceil(remaining / self._max_candidate_size)
@@ -408,9 +475,7 @@ class SetPartitionSolver:
                 return True
         return False
 
-    def _search(
-        self, covered: frozenset[str], selection: list[int], cost: float
-    ) -> None:
+    def _search(self, covered: int, selection: list[int], cost: float) -> None:
         self._nodes += 1
         if self._nodes > self.node_limit:
             raise SolverError(
@@ -430,7 +495,7 @@ class SetPartitionSolver:
             and self._nodes >= LP_ACTIVATION_NODES
         ):
             self._solve_lp_relaxation()
-        if len(covered) == len(self.universe):
+        if covered == self.universe:
             count = len(selection)
             if self.min_count is not None and count < self.min_count:
                 return
@@ -453,28 +518,26 @@ class SetPartitionSolver:
         if self._cardinality_prunes(covered, len(selection)):
             return
 
-        # Branch on the uncovered class with the fewest compatible options.
-        branch_class = None
+        # Branch on the uncovered class with the fewest compatible options
+        # (the first in ascending bit order on ties).
         branch_options: list[int] | None = None
-        for cls in self.universe:
-            if cls in covered:
+        for bit, options_of in self._by_class:
+            if covered & bit:
                 continue
-            options = [
-                position
-                for position in self._by_class[cls]
-                if not (self.candidates[position] & covered)
-            ]
+            options = [position for position, mask in options_of if not mask & covered]
             if not options:
                 return  # dead end: class can no longer be covered
             if branch_options is None or len(options) < len(branch_options):
-                branch_class, branch_options = cls, options
+                branch_options = options
                 if len(options) == 1:
                     break
-        assert branch_options is not None and branch_class is not None
+        assert branch_options is not None
+        candidates, costs = self.candidates, self.costs
         for position in branch_options:
-            candidate = self.candidates[position]
             selection.append(position)
-            self._search(covered | candidate, selection, cost + self.costs[position])
+            self._search(
+                covered | candidates[position], selection, cost + costs[position]
+            )
             selection.pop()
 
 
@@ -483,24 +546,24 @@ class _CanonicalAbort(Exception):
 
 
 def lexmin_optimal_selection(
-    universe: Sequence[str],
-    candidates: Sequence[frozenset[str]],
-    costs: Sequence[float],
+    program: PartitionProgram,
     target: float,
     min_count: int | None = None,
     max_count: int | None = None,
     node_limit: int = 2_000_000,
     tolerance: float = 1e-9,
     prices: LPPrices | None = None,
+    forbidden: Collection[frozenset[int]] = (),
 ) -> list[int] | None:
     """The lexicographically-smallest optimal selection of a solved program.
 
     Given the proven optimal objective ``target`` of a weighted
     set-partitioning program, find — among all selections of cost
-    ``<= target + tolerance`` that exactly cover ``universe`` within the
-    count bounds — the one whose sorted candidate positions are
+    ``<= target + tolerance`` that exactly cover ``program.classes``
+    within the count bounds and are not ``forbidden`` (position sets
+    cut as no-goods) — the one whose sorted candidate positions are
     lexicographically smallest.  This is the **canonical tie-break**
-    shared by the monolithic and decomposed Step-2 paths: equal-cost
+    shared by the Step-2 paths: equal-cost
     optima exist in real programs, different solvers (or the same
     solver on a permuted matrix) break them differently, and the
     byte-identity contract between the paths needs one deterministic
@@ -530,66 +593,65 @@ def lexmin_optimal_selection(
     """
     from repro.mip import scipy_backend
 
-    classes = sorted(set(universe))
-    if not classes:
+    if not program.classes:
         return []
     limit = target + tolerance
-    survivors = range(len(candidates))
+    survivors = range(len(program.candidates))
     try:
         if prices is None and scipy_backend.HAVE_SCIPY:
             try:
                 return _lexmin_search(
-                    classes, candidates, costs, survivors, limit,
-                    min_count, max_count, min(node_limit, LP_ACTIVATION_NODES),
+                    program, survivors, limit, min_count, max_count,
+                    min(node_limit, LP_ACTIVATION_NODES), forbidden,
                 )
             except _CanonicalAbort:
                 if node_limit <= LP_ACTIVATION_NODES:
                     raise
-            prices = lp_prices(classes, candidates, costs, min_count, max_count)
+            prices = lp_prices(program, min_count, max_count)
         if prices is not None:
             cutoff = limit + prices.margin
             survivors = [
                 position
                 for position in survivors
-                if prices.floor
-                + prices.reduced_cost(candidates[position], costs[position])
-                <= cutoff
+                if prices.floor + prices.reduced[position] <= cutoff
             ]
         return _lexmin_search(
-            classes, candidates, costs, survivors, limit,
-            min_count, max_count, node_limit,
+            program, survivors, limit, min_count, max_count, node_limit, forbidden,
         )
     except _CanonicalAbort:
         return None
 
 
 def _lexmin_search(
-    classes: list[str],
-    candidates: Sequence[frozenset[str]],
-    costs: Sequence[float],
+    program: PartitionProgram,
     order: Sequence[int],
     limit: float,
     min_count: int | None,
     max_count: int | None,
     node_limit: int,
+    forbidden: Collection[frozenset[int]] = (),
 ) -> list[int] | None:
     """The lex-min search over the candidate positions in ``order``.
 
     Raises :class:`_CanonicalAbort` past ``node_limit`` nodes.
     """
+    candidates, costs = program.candidates, program.costs
+    classes = bits_of(program.classes)
     total = len(classes)
     count = len(order)
-    min_share: dict[str, float] = dict.fromkeys(classes, math.inf)
-    last_index: dict[str, int] = dict.fromkeys(classes, -1)
+    min_share = dict.fromkeys(classes, math.inf)
+    last_index = dict.fromkeys(classes, -1)
     largest = 1
     for index, position in enumerate(order):
         candidate = candidates[position]
-        largest = max(largest, len(candidate))
-        share = costs[position] / len(candidate)
-        for cls in candidate:
-            if share < min_share[cls]:
-                min_share[cls] = share
-            last_index[cls] = index
+        size = candidate.bit_count()
+        largest = max(largest, size)
+        share = costs[position] / size
+        for bit in bits_of(candidate):
+            if share < min_share[bit]:
+                min_share[bit] = share
+            last_index[bit] = index
+    horizon = [(bit, last_index[bit], min_share[bit]) for bit in classes]
     nodes = 0
 
     def _search(index, covered, selected, cost, selection):
@@ -597,7 +659,7 @@ def _lexmin_search(
         # would overflow the stack on large programs); only the include
         # branch recurses, bounding the depth by the partition size.
         nonlocal nodes
-        remaining = total - len(covered)
+        remaining = total - covered.bit_count()
         while True:
             nodes += 1
             if nodes > node_limit:
@@ -607,15 +669,17 @@ def _lexmin_search(
                     return None
                 if max_count is not None and selected > max_count:
                     return None
+                if forbidden and frozenset(selection) in forbidden:
+                    return None
                 return list(selection)
             if index == count:
                 return None
             bound = 0.0
-            for cls in classes:
-                if cls not in covered:
-                    if last_index[cls] < index:
+            for bit, last, share in horizon:
+                if not covered & bit:
+                    if last < index:
                         return None  # the class can no longer be covered
-                    bound += min_share[cls]
+                    bound += share
             if cost + bound > limit:
                 return None
             if (
@@ -641,4 +705,4 @@ def _lexmin_search(
                 selection.pop()
             index += 1
 
-    return _search(0, frozenset(), 0, 0.0, [])
+    return _search(0, 0, 0, 0.0, [])

@@ -9,8 +9,8 @@ set-partitioning program and the optima recombined (the coordination
 layer of :mod:`repro.selection2.coordinate` handles the global Eq. 5
 cardinality bounds that couple the components).
 
-The split is computed with a union-find over classes: every candidate
-unions its member classes, so two candidates sharing a class end up in
+The split ORs overlapping class masks: each candidate merges every
+block it overlaps into one, so two candidates sharing a class end up in
 the same class-partition block.  Classes no candidate covers are
 reported separately — they make the whole program infeasible.
 """
@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+
+from repro.mip.branch_and_bound import PartitionProgram, bits_of
 
 
 def content_digest(value) -> str:
@@ -34,35 +34,15 @@ def content_digest(value) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(PartitionProgram):
     """One independent sub-program of the Step-2 selection.
 
-    Attributes
-    ----------
-    classes:
-        The component's event classes (sorted) — the sub-universe that
-        must be covered exactly once.
-    candidates:
-        The candidate groups living entirely inside ``classes``, in the
-        global candidate order (sorted by sorted member tuple).
-    costs:
-        Candidate costs, parallel to ``candidates``.
+    A :class:`~repro.mip.branch_and_bound.PartitionProgram` whose
+    ``classes`` mask is the component's sub-universe and whose
+    ``candidates`` are the candidate masks living entirely inside it, in
+    the global candidate order (sorted by sorted member tuple), with
+    their parallel ``costs``.
     """
-
-    classes: tuple[str, ...]
-    candidates: tuple[frozenset[str], ...]
-    costs: tuple[float, ...]
-
-    @property
-    def num_classes(self) -> int:
-        """Size of the component's class universe."""
-        return len(self.classes)
-
-    @property
-    def num_candidates(self) -> int:
-        """Number of candidate groups in the component."""
-        return len(self.candidates)
 
     def digest(self) -> str:
         """Content digest of the component (classes, candidates, costs).
@@ -70,104 +50,58 @@ class Component:
         The selection-artifact cache keys component solutions by this
         digest (plus bounds and backend), so two jobs whose Step-1
         phases produced the same sub-program — typically a constraint
-        sweep over one log — share solved components.
+        sweep over one log — share solved components.  The payload
+        names classes, so the key does not depend on the encoding.
         """
+        names = self.bits.names
         return content_digest(
             {
-                "classes": list(self.classes),
-                "candidates": [sorted(group) for group in self.candidates],
+                "classes": list(names(self.classes)),
+                "candidates": [list(names(group)) for group in self.candidates],
                 "costs": list(self.costs),
             }
         )
 
 
-class _UnionFind:
-    """Minimal union-find over hashable items (path-halving, by size)."""
-
-    def __init__(self):
-        self._parent: dict = {}
-        self._size: dict = {}
-
-    def add(self, item) -> None:
-        """Register ``item`` as its own singleton set (idempotent)."""
-        if item not in self._parent:
-            self._parent[item] = item
-            self._size[item] = 1
-
-    def find(self, item):
-        """Representative of ``item``'s set."""
-        parent = self._parent
-        while parent[item] != item:
-            parent[item] = parent[parent[item]]
-            item = parent[item]
-        return item
-
-    def union(self, left, right) -> None:
-        """Merge the sets containing ``left`` and ``right``."""
-        root_l, root_r = self.find(left), self.find(right)
-        if root_l == root_r:
-            return
-        if self._size[root_l] < self._size[root_r]:
-            root_l, root_r = root_r, root_l
-        self._parent[root_r] = root_l
-        self._size[root_l] += self._size[root_r]
-
-
-def decompose(
-    universe: Iterable[str],
-    candidates: Sequence[frozenset[str]],
-    costs: Sequence[float],
-) -> tuple[list[Component], list[str]]:
+def decompose(program: PartitionProgram) -> tuple[list[Component], list[str]]:
     """Split a set-partitioning program into independent components.
 
-    Parameters
-    ----------
-    universe:
-        All event classes that must be covered.
-    candidates / costs:
-        Candidate groups (subsets of the universe) and their parallel
-        costs, in the global deterministic order.
-
-    Returns
-    -------
-    ``(components, uncovered)`` where ``components`` is sorted by first
-    class for determinism and ``uncovered`` lists classes no candidate
-    contains (non-empty ⇒ the program is infeasible).
+    ``program``'s candidates are subsets of its classes, in the global
+    deterministic order.  Returns ``(components, uncovered)`` where
+    ``components`` is sorted by first class for determinism and
+    ``uncovered`` lists classes no candidate contains (non-empty ⇒ the
+    program is infeasible).
     """
-    finder = _UnionFind()
-    classes = sorted(universe)
-    for cls in classes:
-        finder.add(cls)
-    covered: set[str] = set()
-    for group in candidates:
-        members = sorted(group)
-        covered.update(members)
-        for other in members[1:]:
-            finder.union(members[0], other)
+    blocks: list[int] = []
+    covered = 0
+    for group in program.candidates:
+        covered |= group
+        # Blocks are disjoint, so a block overlaps the merged mask
+        # exactly when it overlaps ``group``.
+        merged = group
+        rest = []
+        for block in blocks:
+            if block & group:
+                merged |= block
+            else:
+                rest.append(block)
+        rest.append(merged)
+        blocks = rest
+    blocks.sort(key=lambda block: block & -block)
 
-    uncovered = [cls for cls in classes if cls not in covered]
-
-    blocks: dict[str, list[str]] = {}
-    for cls in classes:
-        if cls in covered:
-            blocks.setdefault(finder.find(cls), []).append(cls)
-
-    members_of: dict[str, tuple[list[frozenset[str]], list[float]]] = {
-        root: ([], []) for root in blocks
-    }
-    for group, cost in zip(candidates, costs):
-        root = finder.find(next(iter(sorted(group))))
-        bucket = members_of[root]
+    block_of: dict[int, int] = {}
+    for index, block in enumerate(blocks):
+        for bit in bits_of(block):
+            block_of[bit] = index
+    members: list[tuple[list[int], list[float]]] = [([], []) for _ in blocks]
+    for group, cost in zip(program.candidates, program.costs):
+        bucket = members[block_of[group & -group]]
         bucket[0].append(group)
         bucket[1].append(cost)
 
     components = [
-        Component(
-            classes=tuple(block),
-            candidates=tuple(members_of[root][0]),
-            costs=tuple(members_of[root][1]),
-        )
-        for root, block in blocks.items()
+        Component(program.bits, block, tuple(groups), tuple(costs))
+        for block, (groups, costs) in zip(blocks, members)
     ]
-    components.sort(key=lambda component: component.classes[0])
+    uncovered = list(program.bits.names(program.classes & ~covered))
     return components, uncovered

@@ -37,6 +37,7 @@ from repro.core.grouping import Grouping
 from repro.core.selection import SelectionResult
 from repro.eventlog.events import EventLog
 from repro.exceptions import SolverError
+from repro.mip.branch_and_bound import PartitionProgram
 from repro.mip.result import SolverStatus
 from repro.selection2 import coordinate, portfolio
 from repro.selection2.decompose import Component, content_digest, decompose
@@ -91,8 +92,8 @@ def solve_component_task(
     served even when the budget is gone (they cost nothing and are the
     same bytes regardless).
     """
-    key = component_cache_key(component, min_count, max_count, backend)
     if cache is not None:
+        key = component_cache_key(component, min_count, max_count, backend)
         hit = cache.get_selection(key)
         if hit is not None:
             return hit, True
@@ -299,7 +300,8 @@ def select_decomposed(
     started = time.perf_counter()
     universe = log.classes
     ordered = sorted(candidates, key=lambda group: sorted(group))
-    costs = [distance.group_distance(group) for group in ordered]
+    costs = distance.costs(ordered)
+    program = PartitionProgram.encode(universe, ordered, costs)
     stats = SelectionStats(
         mode="decomposed",
         backend=backend,
@@ -307,7 +309,7 @@ def select_decomposed(
         workers=workers,
     )
 
-    pre = presolve(universe, ordered, costs, allow_domination=max_groups is None)
+    pre = presolve(program, allow_domination=max_groups is None)
     stats.presolve = pre.counts()
     if pre.infeasible_reason is not None:
         return _infeasible(pre.infeasible_reason, stats, len(ordered), started)
@@ -323,7 +325,7 @@ def select_decomposed(
             started,
         )
 
-    components, uncovered = decompose(pre.classes, pre.candidates, pre.costs)
+    components, uncovered = decompose(pre)
     if uncovered:
         return _infeasible(
             f"classes without covering candidate: {uncovered}",
@@ -354,7 +356,12 @@ def select_decomposed(
         )
 
     bounded = residual_min is not None or residual_max is not None
-    selected: list[frozenset[str]] = list(pre.fixed)
+    position_of = {group: position for position, group in enumerate(program.candidates)}
+
+    def positions(groups):
+        return [position_of[program.bits.mask(group)] for group in groups]
+
+    selected = [position_of[group] for group in pre.fixed]
 
     if components and not bounded:
         tasks = [(component, None, None) for component in components]
@@ -364,13 +371,14 @@ def select_decomposed(
         )
         for component, solution in zip(components, solutions):
             if not solution.is_optimal:
+                first = program.bits.names(component.classes)[0]
                 return _infeasible(
-                    f"component {component.classes[0]}…: {solution.message or solution.status}",
+                    f"component {first}…: {solution.message or solution.status}",
                     stats,
                     len(ordered),
                     started,
                 )
-            selected.extend(frozenset(group) for group in solution.groups)
+            selected.extend(positions(solution.groups))
     elif components and len(components) == 1:
         # One bounded component: hand the bounds to the backend directly
         # (structurally the monolithic program, minus presolve removals).
@@ -387,7 +395,7 @@ def select_decomposed(
                 len(ordered),
                 started,
             )
-        selected.extend(frozenset(group) for group in solution.groups)
+        selected.extend(positions(solution.groups))
     elif components:
         # Eq. 5 coordination: per-component count enumeration, then a
         # knapsack-style merge over the (objective, #groups) fronts.
@@ -416,15 +424,11 @@ def select_decomposed(
                 if solution.is_optimal:
                     front[count] = solution
             fronts.append(front)
-        position_of = {group: position for position, group in enumerate(ordered)}
-
-        def order_key(solution):
-            return tuple(
-                sorted(position_of[frozenset(group)] for group in solution.groups)
-            )
-
         chosen = coordinate.merge_fronts(
-            fronts, residual_min, residual_max, order_key=order_key
+            fronts,
+            residual_min,
+            residual_max,
+            order_key=lambda solution: tuple(sorted(positions(solution.groups))),
         )
         if chosen is None:
             return _infeasible(
@@ -435,14 +439,14 @@ def select_decomposed(
                 started,
             )
         for front, count in zip(fronts, chosen):
-            selected.extend(frozenset(group) for group in front[count].groups)
+            selected.extend(positions(front[count].groups))
 
-    # Recombine in the monolithic path's group order (ascending sorted
-    # member tuples): the grouping's rendered label order and the
-    # objective's float-summation order must both match byte-for-byte.
-    selected.sort(key=lambda group: sorted(group))
-    grouping = Grouping(selected, universe)
-    objective = sum(distance.group_distance(group) for group in selected)
+    # Recombine in the monolithic path's group order (ascending positions,
+    # i.e. sorted member tuples): the grouping's rendered label order and
+    # the objective's float-summation order must both match byte-for-byte.
+    selected.sort()
+    grouping = Grouping([ordered[position] for position in selected], universe)
+    objective = sum(costs[position] for position in selected)
     stats.seconds = time.perf_counter() - started
     return DecomposedSelectionResult(
         grouping=grouping,

@@ -107,25 +107,29 @@ def greedy_incumbent(
     ``None`` when the greedy run dead-ends or violates the count
     bounds — the incumbent is an upper bound only, never required.
     """
-    uncovered = set(component.classes)
+    names = component.bits.names
+    uncovered = component.classes
     chosen: list[int] = []
     total = 0.0
     while uncovered:
-        best: tuple[float, tuple[str, ...], int] | None = None
+        best: tuple[float, int] | None = None
+        outside = ~uncovered
         for position, (group, cost) in enumerate(
             zip(component.candidates, component.costs)
         ):
-            if not group <= uncovered:
+            if group & outside:
                 continue
-            key = (cost / len(group), tuple(sorted(group)), position)
-            if best is None or key < best:
-                best = key
+            share = cost / group.bit_count()
+            if best is None or share < best[0] or (
+                share == best[0] and names(group) < names(component.candidates[best[1]])
+            ):
+                best = (share, position)
         if best is None:
             return None
-        position = best[2]
+        position = best[1]
         chosen.append(position)
         total += component.costs[position]
-        uncovered -= component.candidates[position]
+        uncovered &= ~component.candidates[position]
     if min_count is not None and len(chosen) < min_count:
         return None
     if max_count is not None and len(chosen) > max_count:
@@ -158,9 +162,7 @@ def _from_solver_result(
     # decomposed and monolithic solves diverge.
     target = sum(component.costs[position] for position in positions)
     canonical = lexmin_optimal_selection(
-        component.classes,
-        list(component.candidates),
-        list(component.costs),
+        component,
         target=target,
         min_count=min_count,
         max_count=max_count,
@@ -169,7 +171,7 @@ def _from_solver_result(
     if canonical is not None:
         positions = canonical
     groups = tuple(
-        tuple(sorted(component.candidates[position])) for position in positions
+        component.bits.names(component.candidates[position]) for position in positions
     )
     return ComponentSolution(
         status=SolverStatus.OPTIMAL.value,
@@ -196,9 +198,7 @@ def _solve_bnb(
         greedy_incumbent(component, min_count, max_count) if warm_start else None
     )
     solver = SetPartitionSolver(
-        universe=list(component.classes),
-        candidates=list(component.candidates),
-        costs=list(component.costs),
+        component,
         min_count=min_count,
         max_count=max_count,
         incumbent=incumbent,
@@ -219,13 +219,7 @@ def _solve_scipy(
 ) -> ComponentSolution:
     from repro.core.selection import build_program
 
-    program = build_program(
-        list(component.candidates),
-        list(component.costs),
-        frozenset(component.classes),
-        min_groups=min_count,
-        max_groups=max_count,
-    )
+    program = build_program(component, min_groups=min_count, max_groups=max_count)
     return _from_solver_result(
         scipy_backend.solve(program, time_limit=time_limit),
         component,
@@ -312,6 +306,6 @@ def count_bounds(component: Component) -> tuple[int, int]:
     at most ``|classes|`` groups; counts outside the envelope need not
     be enumerated when building Eq. 5 Pareto fronts.
     """
-    largest = max((len(group) for group in component.candidates), default=1)
+    largest = max((group.bit_count() for group in component.candidates), default=1)
     k_min = math.ceil(component.num_classes / largest) if component.num_classes else 0
     return k_min, component.num_classes

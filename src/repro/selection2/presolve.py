@@ -32,8 +32,9 @@ byte-identity contract with the monolithic solve.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+from repro.mip.branch_and_bound import PartitionProgram, bits_of
 
 #: Float margin for the strict-domination test: ``cover + MARGIN < cost``.
 DOMINATION_MARGIN = 1e-9
@@ -59,21 +60,18 @@ class Reduction:
         return dict(self.reason)
 
 
-@dataclass
-class PresolveOutcome:
+@dataclass(frozen=True)
+class PresolveOutcome(PartitionProgram):
     """Residual program plus everything the presolver decided.
 
-    ``fixed`` groups are part of every feasible partition of the
-    original program; the residual ``classes``/``candidates``/``costs``
-    describe what is left to optimize.  ``infeasible_reason`` is set
-    when fixing exposed an uncoverable class (the program has no
+    The inherited ``classes``/``candidates``/``costs`` describe what is
+    left to optimize; ``fixed`` groups (masks) are part of every
+    feasible partition of the original program.  ``infeasible_reason``
+    is set when fixing exposed an uncoverable class (the program has no
     feasible partition at all).
     """
 
-    classes: tuple[str, ...]
-    candidates: list[frozenset[str]]
-    costs: list[float]
-    fixed: list[frozenset[str]] = field(default_factory=list)
+    fixed: list[int] = field(default_factory=list)
     fixed_costs: list[float] = field(default_factory=list)
     reductions: list[Reduction] = field(default_factory=list)
     infeasible_reason: str | None = None
@@ -89,27 +87,26 @@ class PresolveOutcome:
 
 
 def presolve(
-    universe: Sequence[str],
-    candidates: Sequence[frozenset[str]],
-    costs: Sequence[float],
-    allow_domination: bool = True,
+    program: PartitionProgram, allow_domination: bool = True
 ) -> PresolveOutcome:
     """Reduce a set-partitioning program, preserving its optimal set.
 
     ``allow_domination`` must be ``False`` when an Eq. 5 ``max_groups``
     bound is active (see the module docstring).  Candidates must all be
-    subsets of ``universe``; classes without any covering candidate are
-    reported via ``infeasible_reason``.
+    subsets of ``program.classes``; classes without any covering
+    candidate are reported via ``infeasible_reason``.
     """
+    names = program.bits.names
+    candidates, costs = program.candidates, program.costs
     reductions: list[Reduction] = []
 
     # Duplicate-column merge (identical class sets keep the cheapest).
-    best_of: dict[frozenset[str], int] = {}
+    best_of: dict[int, int] = {}
     for position, (group, cost) in enumerate(zip(candidates, costs)):
         kept = best_of.get(group)
         if kept is None or cost < costs[kept]:
             best_of[group] = position
-    live_candidates: list[frozenset[str]] = []
+    live_candidates: list[int] = []
     live_costs: list[float] = []
     for position, (group, cost) in enumerate(zip(candidates, costs)):
         if best_of[group] == position:
@@ -119,22 +116,15 @@ def presolve(
             reductions.append(
                 Reduction(
                     kind="duplicate",
-                    group=tuple(sorted(group)),
+                    group=names(group),
                     cost=cost,
                     reason=(("kept_cost", costs[best_of[group]]),),
                 )
             )
 
-    remaining = set(universe)
-    fixed: list[frozenset[str]] = []
+    remaining = program.classes
+    fixed: list[int] = []
     fixed_costs: list[float] = []
-
-    def _coverage() -> dict[str, list[int]]:
-        cover: dict[str, list[int]] = {cls: [] for cls in remaining}
-        for position, group in enumerate(live_candidates):
-            for cls in group:
-                cover[cls].append(position)
-        return cover
 
     infeasible_reason: str | None = None
     changed = True
@@ -142,34 +132,37 @@ def presolve(
         changed = False
         # Forced singleton fixing to a fixpoint.
         while True:
-            cover = _coverage()
-            bare = sorted(cls for cls, positions in cover.items() if not positions)
+            once = twice = 0
+            for group in live_candidates:
+                twice |= once & group
+                once |= group
+            bare = remaining & ~once
             if bare:
-                infeasible_reason = f"classes without covering candidate: {bare}"
+                infeasible_reason = (
+                    f"classes without covering candidate: {list(names(bare))}"
+                )
                 break
-            forced_cls = next(
-                (
-                    cls
-                    for cls in sorted(cover)
-                    if len(cover[cls]) == 1
-                ),
-                None,
+            sole = remaining & ~twice
+            if not sole:
+                break
+            forced = sole & -sole  # the first class with one coverer
+            position = next(
+                position
+                for position, group in enumerate(live_candidates)
+                if group & forced
             )
-            if forced_cls is None:
-                break
-            position = cover[forced_cls][0]
             group = live_candidates[position]
             fixed.append(group)
             fixed_costs.append(live_costs[position])
             reductions.append(
                 Reduction(
                     kind="forced",
-                    group=tuple(sorted(group)),
+                    group=names(group),
                     cost=live_costs[position],
-                    reason=(("class", forced_cls),),
+                    reason=(("class", names(forced)[0]),),
                 )
             )
-            remaining -= group
+            remaining &= ~group
             survivors = [
                 (other, cost)
                 for other, cost in zip(live_candidates, live_costs)
@@ -185,19 +178,22 @@ def presolve(
             continue
         # Dominated-group elimination via strictly cheaper singleton splits.
         singleton_cost = {
-            next(iter(group)): cost
+            group: cost
             for group, cost in zip(live_candidates, live_costs)
-            if len(group) == 1
+            if not group & (group - 1)
         }
+        singles = 0
+        for group in singleton_cost:
+            singles |= group
         survivors = []
         for group, cost in zip(live_candidates, live_costs):
-            if len(group) >= 2 and all(cls in singleton_cost for cls in group):
-                split_cost = sum(singleton_cost[cls] for cls in sorted(group))
+            if group & (group - 1) and not group & ~singles:
+                split_cost = sum(singleton_cost[bit] for bit in bits_of(group))
                 if split_cost + DOMINATION_MARGIN < cost:
                     reductions.append(
                         Reduction(
                             kind="dominated",
-                            group=tuple(sorted(group)),
+                            group=names(group),
                             cost=cost,
                             reason=(("singleton_cover_cost", split_cost),),
                         )
@@ -209,9 +205,10 @@ def presolve(
         live_costs = [cost for _, cost in survivors]
 
     return PresolveOutcome(
-        classes=tuple(sorted(remaining)),
-        candidates=live_candidates,
-        costs=live_costs,
+        program.bits,
+        remaining,
+        tuple(live_candidates),
+        tuple(live_costs),
         fixed=fixed,
         fixed_costs=fixed_costs,
         reductions=reductions,
@@ -221,9 +218,7 @@ def presolve(
 
 def verify_certificate(
     outcome: PresolveOutcome,
-    universe: Sequence[str],
-    candidates: Sequence[frozenset[str]],
-    costs: Sequence[float],
+    program: PartitionProgram,
     allow_domination: bool = True,
 ) -> bool:
     """Replay a presolve certificate against the original program.
@@ -236,16 +231,17 @@ def verify_certificate(
     Returns ``True`` when the certificate is sound; raises
     ``AssertionError`` (with the failing reduction) otherwise.
     """
-    cost_of: dict[frozenset[str], float] = {}
-    for group, cost in zip(candidates, costs):
+    encode = program.bits.mask
+    cost_of: dict[int, float] = {}
+    for group, cost in zip(program.candidates, program.costs):
         known = cost_of.get(group)
         if known is None or cost < known:
             cost_of[group] = cost
 
     live = dict(cost_of)
-    fixed_classes: set[str] = set()
+    fixed_classes = 0
     for reduction in outcome.reductions:
-        group = frozenset(reduction.group)
+        group = encode(reduction.group)
         reason = reduction.reason_dict()
         if reduction.kind == "duplicate":
             assert cost_of[group] <= reduction.cost, (
@@ -253,8 +249,8 @@ def verify_certificate(
                 reduction,
             )
         elif reduction.kind == "forced":
-            witness = reason["class"]
-            coverers = [other for other in live if witness in other]
+            witness = encode([reason["class"]])
+            coverers = [other for other in live if witness & other]
             assert coverers == [group], ("forced group not unique coverer", reduction)
             assert live[group] == reduction.cost, (
                 "forced group cost does not match the program",
@@ -270,9 +266,7 @@ def verify_certificate(
                 "dominated group cost does not match the program",
                 reduction,
             )
-            split_cost = sum(
-                live[frozenset((cls,))] for cls in sorted(group)
-            )
+            split_cost = sum(live[bit] for bit in bits_of(group))
             assert split_cost + DOMINATION_MARGIN < reduction.cost, (
                 "dominated group not strictly beaten by singletons",
                 reduction,
@@ -282,11 +276,10 @@ def verify_certificate(
             raise AssertionError(f"unknown reduction kind {reduction.kind!r}")
 
     if outcome.infeasible_reason is None:
-        assert set(outcome.classes) == set(universe) - fixed_classes, (
+        assert outcome.classes == program.classes & ~fixed_classes, (
             "residual universe mismatch"
         )
-        assert {
-            (group, cost)
-            for group, cost in zip(outcome.candidates, outcome.costs)
-        } == set(live.items()), "residual candidates mismatch"
+        assert set(zip(outcome.candidates, outcome.costs)) == set(live.items()), (
+            "residual candidates mismatch"
+        )
     return True

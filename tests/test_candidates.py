@@ -133,3 +133,61 @@ class TestStats:
         checker = GroupChecker(running_log, role_constraints)
         exhaustive_candidates(running_log, role_constraints, checker=checker)
         assert checker.cache_size() > 0
+
+
+class TestMixedMonotonicityCompleteness:
+    """Alg. 1 under an anti-monotonic size bound plus a monotonic sum bound.
+
+    Set M pairs ``MaxGroupSize(8)`` (anti-monotonic) with ``sum(duration)
+    >= 101`` (monotonic), so the set's checking mode is ANTI_MONOTONIC
+    and only groups satisfying *every* constraint are expanded.  A group
+    whose subsets all fail the monotonic bound is then never generated,
+    although it occurs and holds.
+    """
+
+    GROUP = frozenset({"act_00", "act_01"})
+
+    @staticmethod
+    def _problem():
+        from repro.datasets import TreeSpec, enrich_log, playout, random_tree
+        from repro.experiments.configs import constraint_set_for_log
+
+        log = enrich_log(playout(random_tree(TreeSpec(7), seed=2), 30, seed=2), seed=2)
+        return log, constraint_set_for_log("M", log)
+
+    def test_missed_group_occurs_and_holds(self):
+        log, constraints = self._problem()
+        assert log.occurs(self.GROUP)
+        assert GroupChecker(log, constraints).holds(self.GROUP)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "Alg. 1 defect: with one anti-monotonic constraint the checking "
+            "mode is ANTI_MONOTONIC, so groups that fail the monotonic "
+            "sum(duration) >= 101 bound are never expanded and their "
+            "satisfying supersets are never generated"
+        ),
+    )
+    @pytest.mark.parametrize("engine", ["python", "compiled"])
+    def test_missed_group_is_a_candidate(self, engine):
+        log, constraints = self._problem()
+        if engine == "compiled":
+            from repro.core.encoding import (
+                HAVE_NUMPY,
+                CompiledInstanceIndex,
+                CompiledLog,
+            )
+
+            if not HAVE_NUMPY:
+                pytest.skip("the compiled engine needs numpy")
+            compiled = CompiledLog(log)
+            checker = GroupChecker(
+                log, constraints, CompiledInstanceIndex(log, compiled)
+            )
+            result = exhaustive_candidates(
+                log, constraints, checker=checker, compiled=compiled
+            )
+        else:
+            result = exhaustive_candidates(log, constraints)
+        assert self.GROUP in result.groups

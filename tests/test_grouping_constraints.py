@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.constraints import ConstraintSet
 from repro.constraints.instancebased import MaxInstanceAggregate
+from repro.core.candidates import exhaustive_candidates
 from repro.core.checker import GroupChecker
 from repro.core.dfg_candidates import dfg_candidates
 from repro.core.distance import DistanceFunction
@@ -15,7 +17,7 @@ from repro.core.grouping_constraints import (
 from repro.core.instances import InstanceIndex
 from repro.core.lazy_selection import select_with_grouping_rules
 from repro.core.selection import select_optimal_grouping
-from repro.eventlog.events import Event
+from repro.eventlog.events import Event, log_from_variants
 from repro.exceptions import ConstraintError, SolverError
 from repro.mip.result import SolverStatus
 
@@ -165,6 +167,49 @@ class TestLazySelection:
             select_with_grouping_rules(
                 running_log, candidates, distance, rules=[], backend="cplex"
             )
+
+    def test_cost_ties_resolve_to_the_lexmin_grouping(self):
+        """Equal-cost optima resolve like the plain Step-2 paths, on both backends."""
+        log = log_from_variants([["a", "e", "b"], ["c", "a", "b"]])
+        candidates = set(exhaustive_candidates(log, ConstraintSet([])).groups)
+        distance = DistanceFunction(log)
+        plain = select_optimal_grouping(log, candidates, distance)
+        assert set(plain.grouping.groups) == {
+            frozenset({"a", "b", "e"}),
+            frozenset({"c"}),
+        }
+        for backend in ("bnb", "scipy"):
+            lazy = select_with_grouping_rules(
+                log, candidates, distance, rules=[], backend=backend
+            )
+            assert set(lazy.grouping.groups) == set(plain.grouping.groups), backend
+            assert lazy.objective == plain.objective == 1.5
+
+    def test_backends_agree_under_a_rule(self):
+        """A seeded sweep: bnb and HiGHS return the same rule-abiding grouping."""
+        import random
+
+        rule = MaxGroupSizeSpread(1)
+        for seed in range(60):
+            rng = random.Random(seed)
+            classes = "abcdef"[: rng.randint(3, 6)]
+            log = log_from_variants(
+                [
+                    rng.sample(classes, rng.randint(1, len(classes)))
+                    for _ in range(rng.randint(2, 4))
+                ]
+            )
+            candidates = set(exhaustive_candidates(log, ConstraintSet([])).groups)
+            distance = DistanceFunction(log)
+            groups = {
+                backend: set(
+                    select_with_grouping_rules(
+                        log, candidates, distance, rules=[rule], backend=backend
+                    ).grouping.groups
+                )
+                for backend in ("bnb", "scipy")
+            }
+            assert groups["bnb"] == groups["scipy"], seed
 
     def test_mean_cost_rule_end_to_end(self, running_log, selection_inputs):
         candidates, distance, index = selection_inputs

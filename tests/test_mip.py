@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.exceptions import SolverError
-from repro.mip.branch_and_bound import SetPartitionSolver
+from repro.mip.branch_and_bound import PartitionProgram, SetPartitionSolver
 from repro.mip.model import EQ, GE, LE, BinaryProgram
 from repro.mip.result import SolverStatus
 from repro.mip import scipy_backend
@@ -79,14 +79,16 @@ class TestScipyBackend:
 class TestSetPartitionSolver:
     def test_simple_partition(self):
         solver = SetPartitionSolver(
-            universe=["a", "b", "c"],
-            candidates=[
-                frozenset({"a", "b"}),
-                frozenset({"c"}),
-                frozenset({"a"}),
-                frozenset({"b", "c"}),
-            ],
-            costs=[1.0, 0.5, 0.7, 0.9],
+            PartitionProgram.encode(
+                universe=["a", "b", "c"],
+                candidates=[
+                    frozenset({"a", "b"}),
+                    frozenset({"c"}),
+                    frozenset({"a"}),
+                    frozenset({"b", "c"}),
+                ],
+                costs=[1.0, 0.5, 0.7, 0.9],
+            )
         )
         result = solver.solve()
         assert result.is_optimal
@@ -97,7 +99,9 @@ class TestSetPartitionSolver:
 
     def test_infeasible_uncoverable_class(self):
         solver = SetPartitionSolver(
-            universe=["a", "b"], candidates=[frozenset({"a"})], costs=[1.0]
+            PartitionProgram.encode(
+                universe=["a", "b"], candidates=[frozenset({"a"})], costs=[1.0]
+            )
         )
         result = solver.solve()
         assert result.status is SolverStatus.INFEASIBLE
@@ -105,9 +109,11 @@ class TestSetPartitionSolver:
 
     def test_max_count_enforced(self):
         solver = SetPartitionSolver(
-            universe=["a", "b"],
-            candidates=[frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"})],
-            costs=[0.1, 0.1, 5.0],
+            PartitionProgram.encode(
+                universe=["a", "b"],
+                candidates=[frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"})],
+                costs=[0.1, 0.1, 5.0],
+            ),
             max_count=1,
         )
         result = solver.solve()
@@ -116,9 +122,11 @@ class TestSetPartitionSolver:
 
     def test_min_count_enforced(self):
         solver = SetPartitionSolver(
-            universe=["a", "b"],
-            candidates=[frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"})],
-            costs=[3.0, 3.0, 0.5],
+            PartitionProgram.encode(
+                universe=["a", "b"],
+                candidates=[frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"})],
+                costs=[3.0, 3.0, 0.5],
+            ),
             min_count=2,
         )
         result = solver.solve()
@@ -127,24 +135,28 @@ class TestSetPartitionSolver:
 
     def test_cardinality_infeasible(self):
         solver = SetPartitionSolver(
-            universe=["a", "b"],
-            candidates=[frozenset({"a"}), frozenset({"b"})],
-            costs=[1.0, 1.0],
+            PartitionProgram.encode(
+                universe=["a", "b"],
+                candidates=[frozenset({"a"}), frozenset({"b"})],
+                costs=[1.0, 1.0],
+            ),
             max_count=1,
         )
         assert solver.solve().status is SolverStatus.INFEASIBLE
 
     def test_negative_cost_rejected(self):
         with pytest.raises(SolverError):
-            SetPartitionSolver(["a"], [frozenset({"a"})], [-1.0])
+            SetPartitionSolver(PartitionProgram.encode(["a"], [frozenset({"a"})], [-1.0]))
 
     def test_candidate_outside_universe_rejected(self):
         with pytest.raises(SolverError):
-            SetPartitionSolver(["a"], [frozenset({"zz"})], [1.0])
+            SetPartitionSolver(PartitionProgram.encode(["a"], [frozenset({"zz"})], [1.0]))
 
     def test_mismatched_costs_rejected(self):
         with pytest.raises(SolverError):
-            SetPartitionSolver(["a"], [frozenset({"a"})], [1.0, 2.0])
+            SetPartitionSolver(
+                PartitionProgram.encode(["a"], [frozenset({"a"})], [1.0, 2.0])
+            )
 
 
 class TestBackendAgreement:
@@ -167,11 +179,12 @@ class TestBackendAgreement:
         rng = random.Random(seed)
         universe, candidates, costs = self._random_instance(rng, 7, 18)
 
-        bnb = SetPartitionSolver(universe, candidates, costs).solve()
+        partition = PartitionProgram.encode(universe, candidates, costs)
+        bnb = SetPartitionSolver(partition).solve()
 
         from repro.core.selection import build_program
 
-        program = build_program(candidates, costs, frozenset(universe))
+        program = build_program(partition)
         hi = scipy_backend.solve(program)
 
         assert bnb.is_optimal and hi.is_optimal
@@ -183,15 +196,12 @@ class TestBackendAgreement:
         universe, candidates, costs = self._random_instance(rng, 6, 14)
         max_count = 4
 
-        bnb = SetPartitionSolver(
-            universe, candidates, costs, max_count=max_count
-        ).solve()
+        partition = PartitionProgram.encode(universe, candidates, costs)
+        bnb = SetPartitionSolver(partition, max_count=max_count).solve()
 
         from repro.core.selection import build_program
 
-        program = build_program(
-            candidates, costs, frozenset(universe), max_groups=max_count
-        )
+        program = build_program(partition, max_groups=max_count)
         hi = scipy_backend.solve(program)
         assert bnb.status == hi.status
         if bnb.is_optimal:

@@ -14,7 +14,7 @@ from repro.constraints import ConstraintSet, MaxGroupSize
 from repro.eventlog import xes
 from repro.eventlog.dfg import compute_dfg
 from repro.eventlog.events import Event, EventLog, Trace, log_from_variants
-from repro.mip.branch_and_bound import SetPartitionSolver
+from repro.mip.branch_and_bound import PartitionProgram, SetPartitionSolver
 from repro.mip import scipy_backend
 
 # -- strategies ----------------------------------------------------------------
@@ -141,8 +141,9 @@ def test_backends_agree_on_random_partitions(seed):
     candidates = list(dict.fromkeys(candidates))
     costs = [round(rng.uniform(0.0, 2.0), 3) for _ in candidates]
 
-    bnb = SetPartitionSolver(universe, candidates, costs).solve()
-    program = build_program(candidates, costs, frozenset(universe))
+    partition = PartitionProgram.encode(universe, candidates, costs)
+    bnb = SetPartitionSolver(partition).solve()
+    program = build_program(partition)
     hi = scipy_backend.solve(program)
     assert bnb.status == hi.status
     if bnb.is_optimal:

@@ -22,7 +22,7 @@ from repro.core.gecco import Gecco, GeccoConfig
 from repro.core.selection import select_optimal_grouping
 from repro.eventlog.events import ROLE_KEY, Event, EventLog, Trace
 from repro.exceptions import ConstraintError, SolverError
-from repro.mip.branch_and_bound import SetPartitionSolver
+from repro.mip.branch_and_bound import PartitionProgram, SetPartitionSolver
 from repro.mip.result import SolverStatus
 from repro.selection2 import (
     Component,
@@ -197,7 +197,7 @@ class TestMultiComponentBounds:
             select_decomposed(log, _cluster_candidates(), distance, backend="gurobi")
 
 
-class _StubDistance:
+class _StubDistance(DistanceFunction):
     """A distance function with fully controlled group costs."""
 
     def __init__(self, costs):
@@ -232,7 +232,7 @@ class TestCanonicalTieBreak:
             frozenset({"c", "d"}),  # 3
         ]
         chosen = lexmin_optimal_selection(
-            "abcd", candidates, [1.0] * 4, target=2.0
+            PartitionProgram.encode("abcd", candidates, [1.0] * 4), target=2.0
         )
         assert chosen == [0, 3]
 
@@ -249,7 +249,7 @@ class TestCanonicalTieBreak:
     def test_merge_fronts_breaks_cost_ties_lexicographically(self):
         def solution(classes, cost):
             return solve_component(
-                Component(
+                Component.encode(
                     tuple(classes),
                     tuple(frozenset({c}) for c in classes),
                     tuple([cost / len(classes)] * len(classes)),
@@ -276,9 +276,11 @@ class TestDecomposer:
     def test_splits_independent_clusters(self):
         candidates = sorted(_cluster_candidates(), key=sorted)
         costs = [float(len(group)) for group in candidates]
-        components, uncovered = decompose("abcde", candidates, costs)
+        components, uncovered = decompose(
+            PartitionProgram.encode("abcde", candidates, costs)
+        )
         assert not uncovered
-        assert [component.classes for component in components] == [
+        assert [component.bits.names(component.classes) for component in components] == [
             ("a", "b"),
             ("c", "d", "e"),
         ]
@@ -287,15 +289,15 @@ class TestDecomposer:
 
     def test_reports_uncovered_classes(self):
         components, uncovered = decompose(
-            ["a", "b", "z"], [frozenset({"a", "b"})], [1.0]
+            PartitionProgram.encode(["a", "b", "z"], [frozenset({"a", "b"})], [1.0])
         )
         assert uncovered == ["z"]
         assert len(components) == 1
 
     def test_digest_is_content_addressed(self):
-        component = Component(("a", "b"), (frozenset({"a", "b"}),), (1.5,))
-        twin = Component(("a", "b"), (frozenset({"a", "b"}),), (1.5,))
-        other = Component(("a", "b"), (frozenset({"a", "b"}),), (2.5,))
+        component = Component.encode(("a", "b"), (frozenset({"a", "b"}),), (1.5,))
+        twin = Component.encode(("a", "b"), (frozenset({"a", "b"}),), (1.5,))
+        other = Component.encode(("a", "b"), (frozenset({"a", "b"}),), (2.5,))
         assert component.digest() == twin.digest()
         assert component.digest() != other.digest()
         assert component_cache_key(component, None, 2, "bnb") != component_cache_key(
@@ -303,17 +305,23 @@ class TestDecomposer:
         )
 
 
+def _decoded(outcome, masks):
+    """Presolve's output masks as class sets."""
+    return [frozenset(outcome.bits.names(mask)) for mask in masks]
+
+
 class TestPresolve:
     def test_duplicate_merge_keeps_cheapest(self):
         candidates = [frozenset({"a"}), frozenset({"a"}), frozenset({"b"})]
         costs = [2.0, 1.0, 1.0]
-        outcome = presolve(["a", "b"], candidates, costs)
+        program = PartitionProgram.encode(["a", "b"], candidates, costs)
+        outcome = presolve(program)
         assert outcome.counts()["duplicates_merged"] == 1
         # The deduped singletons become sole coverers and are fixed —
         # with the *cheap* copy's cost.
-        assert outcome.fixed == [frozenset({"a"}), frozenset({"b"})]
+        assert _decoded(outcome, outcome.fixed) == [frozenset({"a"}), frozenset({"b"})]
         assert outcome.fixed_costs == [1.0, 1.0]
-        assert verify_certificate(outcome, ["a", "b"], candidates, costs)
+        assert verify_certificate(outcome, program)
 
     def test_forced_fixing_cascades(self):
         # 'a' is only covered by {a,b}; fixing it removes {b,c}, which
@@ -324,17 +332,18 @@ class TestPresolve:
             frozenset({"c"}),
         ]
         costs = [1.0, 1.0, 3.0]
-        outcome = presolve(["a", "b", "c"], candidates, costs)
-        assert outcome.fixed == [frozenset({"a", "b"}), frozenset({"c"})]
-        assert outcome.classes == ()
+        program = PartitionProgram.encode(["a", "b", "c"], candidates, costs)
+        outcome = presolve(program)
+        assert _decoded(outcome, outcome.fixed) == [frozenset({"a", "b"}), frozenset({"c"})]
+        assert outcome.bits.names(outcome.classes) == ()
         assert outcome.counts()["forced_fixed"] == 2
-        assert verify_certificate(outcome, ["a", "b", "c"], candidates, costs)
+        assert verify_certificate(outcome, program)
 
     def test_forced_fixing_detects_infeasibility(self):
         # Fixing {a,b} (sole coverer of 'a') removes {b,c}, the sole
         # coverer of 'c'.
         candidates = [frozenset({"a", "b"}), frozenset({"b", "c"})]
-        outcome = presolve(["a", "b", "c"], candidates, [1.0, 1.0])
+        outcome = presolve(PartitionProgram.encode(["a", "b", "c"], candidates, [1.0, 1.0]))
         assert outcome.infeasible_reason is not None
         assert "c" in outcome.infeasible_reason
 
@@ -342,38 +351,43 @@ class TestPresolve:
         singles = [frozenset({"a"}), frozenset({"b"})]
         pair = frozenset({"a", "b"})
         # Strictly pricier pair: eliminated.
-        outcome = presolve(["a", "b"], singles + [pair], [1.0, 1.0, 3.0])
-        assert pair not in outcome.candidates
+        program = PartitionProgram.encode(["a", "b"], singles + [pair], [1.0, 1.0, 3.0])
+        outcome = presolve(program)
+        assert pair not in _decoded(outcome, outcome.candidates)
         assert outcome.counts()["dominated_removed"] == 1
-        assert verify_certificate(
-            outcome, ["a", "b"], singles + [pair], [1.0, 1.0, 3.0]
-        )
+        assert verify_certificate(outcome, program)
         # Equal-cost pair: kept (it may be part of an optimal tie).
-        outcome = presolve(["a", "b"], singles + [pair], [1.0, 1.0, 2.0])
-        assert pair in outcome.candidates
+        outcome = presolve(
+            PartitionProgram.encode(["a", "b"], singles + [pair], [1.0, 1.0, 2.0])
+        )
+        assert pair in _decoded(outcome, outcome.candidates)
 
     def test_domination_disabled_under_max_groups(self):
         singles = [frozenset({"a"}), frozenset({"b"})]
         pair = frozenset({"a", "b"})
         outcome = presolve(
-            ["a", "b"], singles + [pair], [1.0, 1.0, 9.0], allow_domination=False
+            PartitionProgram.encode(["a", "b"], singles + [pair], [1.0, 1.0, 9.0]),
+            allow_domination=False,
         )
-        assert pair in outcome.candidates
+        assert pair in _decoded(outcome, outcome.candidates)
 
     def test_tampered_certificate_fails(self):
         singles = [frozenset({"a"}), frozenset({"b"})]
         pair = frozenset({"a", "b"})
         costs = [1.0, 1.0, 3.0]
-        outcome = presolve(["a", "b"], singles + [pair], costs)
+        outcome = presolve(PartitionProgram.encode(["a", "b"], singles + [pair], costs))
         with pytest.raises(AssertionError):
             # Claim the pair cost less than its singleton split.
-            verify_certificate(outcome, ["a", "b"], singles + [pair], [1.0, 1.0, 1.0])
+            verify_certificate(
+                outcome,
+                PartitionProgram.encode(["a", "b"], singles + [pair], [1.0, 1.0, 1.0]),
+            )
 
 
 class TestPortfolioAndCoordination:
     def _component(self):
-        return Component(
-            classes=("a", "b", "c"),
+        return Component.encode(
+            universe=("a", "b", "c"),
             candidates=(
                 frozenset({"a"}),
                 frozenset({"a", "b"}),
@@ -402,38 +416,28 @@ class TestPortfolioAndCoordination:
         positions, cost = incumbent
         covered = set()
         for position in positions:
-            group = component.candidates[position]
+            group = frozenset(component.bits.names(component.candidates[position]))
             assert not (covered & group)
             covered |= group
-        assert covered == set(component.classes)
+        assert covered == set(component.bits.names(component.classes))
         # Warm-started search returns the same optimum as cold.
-        warm = SetPartitionSolver(
-            universe=component.classes,
-            candidates=component.candidates,
-            costs=component.costs,
-            incumbent=incumbent,
-        ).solve()
-        cold = SetPartitionSolver(
-            universe=component.classes,
-            candidates=component.candidates,
-            costs=component.costs,
-        ).solve()
+        warm = SetPartitionSolver(component, incumbent=incumbent).solve()
+        cold = SetPartitionSolver(component).solve()
         assert warm.objective == pytest.approx(cold.objective)
 
     def test_invalid_incumbent_rejected(self):
         component = self._component()
         with pytest.raises(SolverError):
             SetPartitionSolver(
-                universe=component.classes,
-                candidates=component.candidates,
-                costs=component.costs,
+                component,
                 incumbent=([0, 1], 2.5),  # overlapping groups
             )
 
     def test_merge_fronts_respects_bounds(self):
         def sol(objective):
             return solve_component(
-                Component(("z",), (frozenset({"z"}),), (objective,)), backend="bnb"
+                Component.encode(("z",), (frozenset({"z"}),), (objective,)),
+                backend="bnb",
             )
 
         fronts = [
@@ -457,13 +461,50 @@ class TestPortfolioAndCoordination:
             frozenset(pair) for pair in itertools.combinations(classes, 2)
         ]
         solver = SetPartitionSolver(
-            universe=classes,
-            candidates=pairs,
-            costs=[1.0 + (hash(min(p)) % 7) / 10 for p in pairs],
+            PartitionProgram.encode(
+                classes, pairs, [1.0 + (int(min(p)[1:]) % 7) / 10 for p in pairs]
+            ),
             time_limit=1e-4,
         )
         with pytest.raises(SolverError, match="time limit"):
             solver.solve()
+
+
+class TestSelectionTierKeys:
+    def test_no_cache_never_hashes_a_component(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a component was hashed without a cache")
+
+        monkeypatch.setattr(Component, "digest", refuse)
+        log = _two_cluster_log()
+        result = select_decomposed(
+            log, _cluster_candidates(), DistanceFunction(log), cache=None
+        )
+        assert result.feasible
+        assert result.stats.num_components == 2
+
+    def test_keys_are_pinned(self):
+        """The keys also name selection entries persisted under ``--cache-dir``."""
+        component = Component.encode(
+            ("a", "b", "c"),
+            (
+                frozenset({"a"}),
+                frozenset({"a", "b"}),
+                frozenset({"b"}),
+                frozenset({"b", "c"}),
+                frozenset({"c"}),
+            ),
+            (1.0, 0.75, 1.0, 0.6, 1.0),
+        )
+        assert component.digest() == (
+            "48364532a45713f133c2287a3424807cf27c0c045f198c4e54a62b1f6ab3e2fd"
+        )
+        assert component_cache_key(component, None, 2, "bnb") == (
+            "469c95c4b7dc8574082f3d233dad53ef96597f7f45d851ac53175d3256beb8b7"
+        )
+        assert component_cache_key(component, 2, 2, "auto") == (
+            "ccb518a46e848e9a75fd7f305c755430d7827a2fd29c8189a746ed117caf5bf5"
+        )
 
 
 class TestSelectionCacheAndParallel:
@@ -504,7 +545,7 @@ class TestSelectionCacheAndParallel:
         from repro.mip.result import SolverStatus
         from repro.selection2 import pipeline, portfolio
 
-        component = Component(("a",), (frozenset({"a"}),), (1.0,))
+        component = Component.encode(("a",), (frozenset({"a"}),), (1.0,))
         timed_out = portfolio.ComponentSolution(
             status=SolverStatus.ERROR.value, backend="scipy", message="time limit"
         )

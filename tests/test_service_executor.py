@@ -170,8 +170,8 @@ class TestPoolExecutor:
     def test_submit_call_runs_on_workers_with_cache(self):
         from repro.selection2 import Component, solve_component_task
 
-        component = Component(
-            classes=("x", "y"),
+        component = Component.encode(
+            universe=("x", "y"),
             candidates=(frozenset({"x"}), frozenset({"y"}), frozenset({"x", "y"})),
             costs=(1.0, 1.0, 0.5),
         )
@@ -193,8 +193,8 @@ class TestPoolExecutor:
     def test_submit_call_sequential_uses_own_cache(self):
         from repro.selection2 import Component, solve_component_task
 
-        component = Component(
-            classes=("x",), candidates=(frozenset({"x"}),), costs=(1.0,)
+        component = Component.encode(
+            universe=("x",), candidates=(frozenset({"x"}),), costs=(1.0,)
         )
         executor = SequentialExecutor()
         _, cached = executor.submit_call(

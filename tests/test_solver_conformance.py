@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.exceptions import SolverError
 from repro.mip import scipy_backend
 from repro.mip.branch_and_bound import (
+    PartitionProgram,
     SetPartitionSolver,
     lexmin_optimal_selection,
     lp_prices,
@@ -119,11 +120,11 @@ def partition_instances(draw):
 
 
 def _component(classes, candidates, costs) -> Component:
-    return Component(
-        classes=tuple(classes),
-        candidates=tuple(candidates),
-        costs=tuple(costs),
-    )
+    return Component.encode(classes, candidates, costs)
+
+
+def _program(classes, candidates, costs) -> PartitionProgram:
+    return PartitionProgram.encode(classes, candidates, costs)
 
 
 def _dense_instance(num_classes=14, num_candidates=160, seed=7):
@@ -150,9 +151,7 @@ def _canonical_positions(
         if name.startswith("g")
     )
     canonical = lexmin_optimal_selection(
-        sorted(classes),
-        list(candidates),
-        list(costs),
+        _program(classes, candidates, costs),
         target=sum(costs[position] for position in positions),
         min_count=min_count,
         max_count=max_count,
@@ -168,13 +167,8 @@ def _canonical_positions(
 @given(partition_instances())
 def test_lp_bound_is_admissible(instance):
     classes, candidates, costs, min_count, max_count = instance
-    solver = SetPartitionSolver(
-        universe=classes,
-        candidates=candidates,
-        costs=costs,
-        min_count=min_count,
-        max_count=max_count,
-    )
+    program = _program(classes, candidates, costs)
+    solver = SetPartitionSolver(program, min_count=min_count, max_count=max_count)
     solver._solve_lp_relaxation()
     if solver.prices is None:
         return  # LP unavailable/failed: nothing to certify
@@ -186,7 +180,9 @@ def test_lp_bound_is_admissible(instance):
         # exceeds the cost of the rest of that cover.
         for bits in range(1 << len(positions)):
             picked = [p for i, p in enumerate(positions) if bits >> i & 1]
-            covered = frozenset().union(*(candidates[p] for p in picked))
+            covered = program.bits.mask(
+                frozenset().union(*(candidates[p] for p in picked))
+            )
             rest = cost - sum(costs[p] for p in picked)
             assert solver._dual_bound(covered, len(picked)) <= rest + 1e-9
 
@@ -197,11 +193,11 @@ def test_lp_bound_is_admissible(instance):
 def test_lp_bound_preserves_exact_solution(instance):
     classes, candidates, costs, min_count, max_count = instance
     plain = SetPartitionSolver(
-        universe=classes, candidates=candidates, costs=costs,
+        _program(classes, candidates, costs),
         min_count=min_count, max_count=max_count,
     ).solve()
     bounded = SetPartitionSolver(
-        universe=classes, candidates=candidates, costs=costs,
+        _program(classes, candidates, costs),
         min_count=min_count, max_count=max_count, lp_bound=True,
     ).solve()
     assert plain.status is bounded.status
@@ -227,10 +223,11 @@ def test_fixed_lexmin_matches_brute_force(instance):
     if reference is None:
         return
     target, expected = reference
-    prices = lp_prices(classes, candidates, costs, min_count, max_count)
+    program = _program(classes, candidates, costs)
+    prices = lp_prices(program, min_count, max_count)
     for shared in (prices, None):
         assert lexmin_optimal_selection(
-            classes, candidates, costs, target,
+            program, target,
             min_count=min_count, max_count=max_count, prices=shared,
         ) == expected
 
@@ -239,11 +236,9 @@ def test_lp_bound_strictly_reduces_nodes():
     if not scipy_backend.HAVE_SCIPY:
         pytest.skip("scipy (HiGHS) not installed")
     classes, candidates, costs = _dense_instance()
-    plain = SetPartitionSolver(
-        universe=classes, candidates=candidates, costs=costs
-    ).solve()
+    plain = SetPartitionSolver(_program(classes, candidates, costs)).solve()
     bounded = SetPartitionSolver(
-        universe=classes, candidates=candidates, costs=costs, lp_bound=True
+        _program(classes, candidates, costs), lp_bound=True
     ).solve()
     assert plain.status is SolverStatus.OPTIMAL
     assert bounded.status is SolverStatus.OPTIMAL
@@ -257,9 +252,7 @@ def test_lp_bound_off_without_scipy(monkeypatch):
     """The LP path degrades to the cost-share bound when scipy is absent."""
     monkeypatch.setattr(scipy_backend, "HAVE_SCIPY", False)
     classes, candidates, costs = _dense_instance(num_classes=8, num_candidates=40)
-    solver = SetPartitionSolver(
-        universe=classes, candidates=candidates, costs=costs, lp_bound=True
-    )
+    solver = SetPartitionSolver(_program(classes, candidates, costs), lp_bound=True)
     outcome = solver.solve()
     assert outcome.status is SolverStatus.OPTIMAL
     assert outcome.lp_bound_cuts == 0
@@ -283,7 +276,7 @@ def test_backends_byte_identical(instance):
         for backend in ("bnb", "scipy", "auto")
     }
     bounded = SetPartitionSolver(
-        universe=classes, candidates=candidates, costs=costs,
+        _program(classes, candidates, costs),
         min_count=min_count, max_count=max_count, lp_bound=True,
     ).solve()
 
@@ -340,22 +333,19 @@ def test_lexmin_stable_under_candidate_shuffle(instance, rng):
 @needs_scipy
 def test_fixing_drops_candidates_and_keeps_the_lexmin(monkeypatch):
     classes, candidates, costs = _dense_instance(num_classes=9, num_candidates=48)
-    optimum = SetPartitionSolver(
-        universe=classes, candidates=candidates, costs=costs
-    ).solve()
-    prices = lp_prices(classes, candidates, costs)
+    program = _program(classes, candidates, costs)
+    optimum = SetPartitionSolver(program).solve()
+    prices = lp_prices(program)
     survivors = [
         position
-        for position, group in enumerate(candidates)
+        for position, group in enumerate(program.candidates)
         if prices.floor + prices.reduced_cost(group, costs[position])
         <= optimum.objective + 1e-9 + prices.margin
     ]
     assert len(survivors) < len(candidates) // 2
-    fixed = lexmin_optimal_selection(
-        classes, candidates, costs, optimum.objective, prices=prices
-    )
+    fixed = lexmin_optimal_selection(program, optimum.objective, prices=prices)
     monkeypatch.setattr(scipy_backend, "HAVE_SCIPY", False)
-    plain = lexmin_optimal_selection(classes, candidates, costs, optimum.objective)
+    plain = lexmin_optimal_selection(program, optimum.objective)
     assert plain is not None
     assert fixed == plain
     assert set(fixed) <= set(survivors)
