@@ -64,9 +64,11 @@ class TaskEnvelope:
         Higher dispatches first (ties break by enqueue order).
     affinity:
         Optional cache-affinity key (the job's artifact log prefix,
-        digested): brokers route all tasks sharing a key to the worker
-        that first claimed it, so per-log artifacts are built once per
-        fleet instead of once per (worker, log).
+        digested).  The first claimant owns the key and gets its later
+        tasks while it is free; a free worker steals them while the
+        owner is busy (see :meth:`Broker.claim`).  Per-log artifacts
+        are therefore built at most once per (worker, log), and no
+        worker idles while another has a backlog.
     attempts:
         Deliveries so far; maintained by the broker on requeue.
     """
@@ -165,11 +167,15 @@ class Broker:
         raise NotImplementedError
 
     def claim(self, worker: str, lease: float) -> Claim | None:
-        """Atomically claim the best queued task, or ``None``.
+        """Atomically claim the best queued task ``worker`` may run, or ``None``.
 
-        Tasks whose affinity key is owned by a *different* live worker
-        are skipped (their owner will take them); claiming a task with
-        an unowned affinity key acquires the key for ``worker``.
+        The scan runs in priority order and claims the first task whose
+        affinity key is unowned, expired, already ``worker``'s own, or
+        owned by a worker that holds a live task lease (a *steal*: the
+        busy owner's backlog goes to the idle claimant).  Only the
+        first three cases acquire or refresh the key for ``worker``; a
+        steal leaves it with its owner.  A task whose live owner holds
+        no claim is skipped: the owner takes it at its next poll.
         """
         raise NotImplementedError
 

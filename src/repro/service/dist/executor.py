@@ -17,9 +17,10 @@ envelopes and completes the handles, and the shared on-disk
 :class:`~repro.service.cache.ArtifactCache` store (``disk_dir``) gives
 the whole fleet one persistent result tier.  Affinity keys (the job's
 artifact log prefix, digested) ride on every envelope so brokers route
-all jobs on one log to the worker that first claimed it — one artifact
-build per log across the fleet, exactly like the in-process pool's
-cache-aware scheduling.
+the jobs on one log to the worker that first claimed it while that
+worker is free, and let an idle worker steal them while it is busy —
+the in-process pool's work-conserving, cache-aware rule, with at most
+one artifact build per (worker, log).
 
 Fault tolerance is inherited from the broker contract: a worker that
 dies mid-job stops heartbeating, the poller's periodic
@@ -56,8 +57,9 @@ def job_affinity_key(job: AbstractionJob) -> str:
     """Digest the job's artifact log prefix into a broker affinity key.
 
     Jobs sharing a key share their expensive per-log artifacts; brokers
-    route them to one worker so the fleet builds each log's artifacts
-    at most once (the distributed twin of the pool's prefix routing).
+    prefer the key's owner for them, so the fleet builds each log's
+    artifacts at most once per worker (the distributed twin of the
+    pool's prefix routing).
     """
     return fp.digest_text("|".join(str(part) for part in job_prefix(job)))[:16]
 

@@ -155,29 +155,37 @@ class FilesystemBroker(Broker):
         except OSError:
             pass
 
+    def _held_elsewhere(self, path: Path, worker: str) -> bool:
+        """Whether ``path`` records a live ownership by another worker."""
+        current = self._read_json(path)
+        return (
+            current is not None
+            and current.get("worker") != worker
+            and current.get("deadline", 0.0) > time.time()
+        )
+
     def _take_ownership(self, path: Path, record: dict) -> bool:
         """Create (or take over an expired) ``{worker, deadline}`` file.
 
         The shared primitive behind task leases and affinity ownership:
         exclusive create wins outright; an existing file is taken over
-        only when it is expired, unreadable, or already ours.
+        only when it is expired, unreadable, or already ours.  The
+        create hard-links a fully written staging file into place: a
+        racing claimant must never read a half-written file, count it
+        unreadable and take over the live ownership it records.
         """
-        payload = json.dumps(record).encode("utf-8")
+        if self._held_elsewhere(path, record["worker"]):
+            return False
+        staging = self.root / "tmp" / f"{uuid.uuid4().hex}.tmp"
+        staging.write_bytes(json.dumps(record).encode("utf-8"))
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            os.link(staging, path)
         except FileExistsError:
-            current = self._read_json(path)
-            if current is not None:
-                if current.get("worker") != record["worker"] and (
-                    current.get("deadline", 0.0) > time.time()
-                ):
-                    return False  # live ownership held elsewhere
-            self._write_atomic(path, payload)
-            return True
-        try:
-            os.write(fd, payload)
+            if self._held_elsewhere(path, record["worker"]):
+                return False
+            os.replace(staging, path)
         finally:
-            os.close(fd)
+            self._unlink_quiet(staging)
         return True
 
     # -- lease files -------------------------------------------------------
@@ -225,6 +233,20 @@ class FilesystemBroker(Broker):
         if current is not None and current.get("worker") == worker:
             self._acquire_affinity(key, worker, lease)
 
+    def _leaseholders(self) -> set[str]:
+        """The workers holding a live lease on some task."""
+        try:
+            names = os.listdir(self.root / "leases")
+        except OSError:
+            return set()
+        now = time.time()
+        holders = set()
+        for name in names:
+            record = self._read_json(self.root / "leases" / name)
+            if record is not None and record.get("deadline", 0.0) > now:
+                holders.add(record.get("worker"))
+        return holders
+
     def _release_affinity_of(self, key: str, worker: str) -> None:
         """Drop ``worker``'s ownership of ``key`` (it is presumed dead)."""
         path = self._affinity_path(key)
@@ -255,12 +277,16 @@ class FilesystemBroker(Broker):
         os.replace(staging, self.root / "queue" / name)
 
     def claim(self, worker: str, lease: float) -> Claim | None:
-        """Claim the best queued task via lease-then-rename (see module doc)."""
+        """Claim the best queued task we may run (see :meth:`Broker.claim`).
+
+        Exclusivity comes from lease-then-rename (see the module doc).
+        """
         queue_dir = self.root / "queue"
         try:
             names = sorted(os.listdir(queue_dir))
         except OSError:
             return None
+        busy = None  # leaseholders, read at the first foreign-owned key
         for name in names:
             if name.endswith(".tmp"):
                 continue
@@ -270,15 +296,24 @@ class FilesystemBroker(Broker):
                 # claim scan never trips over it again.
                 self._quarantine_file(queue_dir / name, "unparsable queue entry")
                 continue
-            # A duplicate delivery of an already-finished task: drop it.
+            # A duplicate delivery of an already-finished task: drop it,
+            # and its lease unless a live claim holds it (the finisher
+            # may still be completing: ``complete`` reads the lease).
             if (self.root / "results" / f"{meta.task_id}.res").exists():
                 self._unlink_quiet(queue_dir / name)
-                self._unlink_quiet(self._lease_path(meta.task_id))
+                if not self._held_elsewhere(self._lease_path(meta.task_id), worker):
+                    self._unlink_quiet(self._lease_path(meta.task_id))
                 continue
             if meta.affinity is not None and not self._acquire_affinity(
                 meta.affinity, worker, lease
             ):
-                continue
+                # Owned by another live worker: steal only from a busy
+                # owner; an idle one takes the task at its next poll.
+                owner = self._read_json(self._affinity_path(meta.affinity))
+                if busy is None:
+                    busy = self._leaseholders()
+                if owner is None or owner.get("worker") not in busy:
+                    continue
             if not self._try_take_lease(meta.task_id, worker, lease, name):
                 continue
             try:

@@ -37,6 +37,12 @@ from repro.service.dist.broker import (
 #: See :data:`repro.service.dist.fsbroker._AFFINITY_LEASE_FACTOR`.
 _AFFINITY_LEASE_FACTOR = 5.0
 
+
+def _affinity_deadline(lease: float, now: float) -> float:
+    """When an affinity ownership acquired or refreshed at ``now`` expires."""
+    return now + max(lease * _AFFINITY_LEASE_FACTOR, 10.0)
+
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS tasks (
     task_id        TEXT PRIMARY KEY,
@@ -107,16 +113,27 @@ class SQLiteBroker(Broker):
         """Start an exclusive-writer transaction (caller holds the lock)."""
         self._db.execute("BEGIN IMMEDIATE")
 
-    def _affinity_free_locked(self, key: str, worker: str, now: float) -> bool:
+    def _foreign_owner_locked(self, key: str, worker: str, now: float) -> str | None:
+        """The live worker other than ``worker`` owning ``key``, if any."""
         row = self._db.execute(
             "SELECT worker, deadline FROM affinity WHERE key = ?", (key,)
         ).fetchone()
-        return row is None or row[0] == worker or row[1] <= now
+        if row is None or row[0] == worker or row[1] <= now:
+            return None
+        return row[0]
+
+    def _holds_lease_locked(self, worker: str, now: float) -> bool:
+        """Whether ``worker`` holds a live claim on some task."""
+        return self._db.execute(
+            "SELECT EXISTS (SELECT 1 FROM tasks WHERE state = 'claimed' "
+            "AND worker = ? AND lease_deadline > ?)",
+            (worker, now),
+        ).fetchone()[0] == 1
 
     def _acquire_affinity_locked(
         self, key: str, worker: str, lease: float, now: float
     ) -> None:
-        deadline = now + max(lease * _AFFINITY_LEASE_FACTOR, 10.0)
+        deadline = _affinity_deadline(lease, now)
         self._db.execute(
             "INSERT INTO affinity (key, worker, deadline) VALUES (?, ?, ?) "
             "ON CONFLICT(key) DO UPDATE SET worker = ?, deadline = ?",
@@ -149,7 +166,7 @@ class SQLiteBroker(Broker):
                 raise
 
     def claim(self, worker: str, lease: float) -> Claim | None:
-        """Claim the best queued row whose affinity is free for us."""
+        """Claim the best queued row we may run (see :meth:`Broker.claim`)."""
         now = time.time()
         with self._lock:
             self._immediate()
@@ -168,12 +185,12 @@ class SQLiteBroker(Broker):
                     "ORDER BY priority DESC, seq ASC"
                 ).fetchall()
                 for task_id, kind, priority, affinity, attempts in rows:
-                    if affinity is not None and not self._affinity_free_locked(
-                        affinity, worker, now
-                    ):
-                        continue
                     if affinity is not None:
-                        self._acquire_affinity_locked(affinity, worker, lease, now)
+                        owner = self._foreign_owner_locked(affinity, worker, now)
+                        if owner is None:
+                            self._acquire_affinity_locked(affinity, worker, lease, now)
+                        elif not self._holds_lease_locked(owner, now):
+                            continue  # the idle owner takes it at its next poll
                     deadline = now + lease
                     self._db.execute(
                         "UPDATE tasks SET state = 'claimed', worker = ?, "
@@ -210,8 +227,14 @@ class SQLiteBroker(Broker):
                 )
                 alive = cursor.rowcount == 1
                 if alive and claim.envelope.affinity is not None:
-                    self._acquire_affinity_locked(
-                        claim.envelope.affinity, claim.worker, lease, now
+                    # Refresh only a key we own: a steal never takes it.
+                    self._db.execute(
+                        "UPDATE affinity SET deadline = ? "
+                        "WHERE key = ? AND worker = ?",
+                        (
+                            _affinity_deadline(lease, now),
+                            claim.envelope.affinity, claim.worker,
+                        ),
                     )
                 self._db.execute("COMMIT")
             except BaseException:

@@ -8,8 +8,8 @@ the task against a worker-local
 with a pickled result envelope.  Pointing every worker's cache at the
 same ``--cache-dir`` turns the on-disk store into the fleet's shared
 result tier: a cold fleet converges to one computation per distinct
-job and (with affinity routing, which brokers apply by default) one
-artifact build per log.
+job and (with affinity routing, which brokers apply by default) at
+most one artifact build per (worker, log).
 
 Failure semantics:
 

@@ -20,14 +20,17 @@ share one dispatch core (:class:`_DispatchCore`): the submit front door
 only its transport — here, a priority heap feeding per-worker
 sub-pools.
 
-The pool schedules **cache-aware**: each worker is its own
-single-process sub-pool, and jobs are routed by their artifact prefix
-(:func:`job_prefix`) — the first job on a log claims the least-loaded
-worker, every later job on that log goes to the same worker (waiting
-for it rather than rebuilding the log's artifacts elsewhere).  This
-caps artifact builds at one per *log* instead of one per (worker, log);
-the ``scheduler`` block of :meth:`PoolExecutor.stats` counts the
-affinity routing.
+The pool schedules **cache-aware and work-conserving**: each worker is
+its own single-process sub-pool, and jobs are routed by their artifact
+prefix (:func:`job_prefix`).  The top queued task always runs as soon
+as a worker is free: the first job on a log claims the least-claimed
+free worker, a later job goes to that owner when it is free, and to
+the least-claimed free worker when the owner is busy (a *steal*, which
+leaves the prefix with its owner).  An idle worker therefore never
+waits behind a busy one, at the price of at most one artifact build
+per (worker, log).  A worker whose process dies is replaced by a fresh
+one that owns no prefix.  The ``scheduler`` block of
+:meth:`PoolExecutor.stats` counts the routing.
 
 Both executors also accept generic work via ``submit_call``: the
 function runs with the executor's cache injected as a ``cache`` keyword
@@ -44,6 +47,7 @@ future-like (``done()`` to poll, ``result()`` to await).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import multiprocessing
@@ -51,6 +55,7 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.constraints.aggregates import clear_extraction_cache
@@ -879,31 +884,33 @@ class PoolExecutor(_DispatchCore):
             cache, disk_dir, max_pending, max_load, admission, trace,
             tracer_name=f"pool-parent-{os.getpid()}",
         )
-        context = multiprocessing.get_context(mp_context)
-        initargs = (
-            worker_max_artifacts,
-            worker_max_results,
-            str(disk_dir) if disk_dir is not None else None,
-            getattr(self.tracer, "path", None),
-            getattr(self.tracer, "rotate_mb", None),
+        #: Builds one worker's single-process sub-pool (also a
+        #: replacement for a worker whose process died).
+        self._new_pool = functools.partial(
+            ProcessPoolExecutor,
+            max_workers=1,
+            mp_context=multiprocessing.get_context(mp_context),
+            initializer=_pool_worker_init,
+            initargs=(
+                worker_max_artifacts,
+                worker_max_results,
+                str(disk_dir) if disk_dir is not None else None,
+                getattr(self.tracer, "path", None),
+                getattr(self.tracer, "rotate_mb", None),
+            ),
         )
-        self._pools = [
-            ProcessPoolExecutor(
-                max_workers=1,
-                mp_context=context,
-                initializer=_pool_worker_init,
-                initargs=initargs,
-            )
-            for _ in range(self.workers)
-        ]
+        self._pools = [self._new_pool() for _ in range(self.workers)]
         #: Queued tasks as ``(-priority, seq, task)``; entries of tasks
         #: shed or failed while queued are skipped when popped.
         self._heap: list[tuple] = []
         self._busy = [False] * self.workers
+        #: Prefixes each worker owns (the least-claimed worker claims).
         self._claims = [0] * self.workers
         self._prefix_owner: dict[tuple, int] = {}
         self._affinity_hits = 0
         self._prefix_claims = 0
+        self._steals = 0
+        self._respawns = 0
 
     def _prepare(self, task: _Task) -> None:
         if task.kind == _KIND_JOB:
@@ -927,43 +934,60 @@ class PoolExecutor(_DispatchCore):
     # -- scheduling --------------------------------------------------------
 
     def _pick_locked(self) -> "tuple[_Task, int] | None":
-        """Choose the next dispatchable task and its worker.
+        """Pop the top queued task and choose its worker.
 
-        Scans the queue in priority order.  Tasks whose prefix is owned
-        by a busy worker are kept queued (waiting for their warm worker
-        beats rebuilding the log's artifacts on a cold one); unowned
-        prefixes claim the least-loaded free worker.
+        Work-conserving: while a worker is free, the top live task is
+        always dispatched.  Its prefix owner runs it when free; an
+        unowned prefix is claimed by the least-claimed free worker; a
+        call, or a job whose owner is busy, runs on the least-claimed
+        free worker — a steal, which leaves the prefix with its owner.
         """
         free = [index for index, busy in enumerate(self._busy) if not busy]
-        if not free or not self._heap:
+        if not free:
             return None
-        deferred: list[tuple] = []
-        chosen: "tuple[_Task, int] | None" = None
         while self._heap:
-            entry = heapq.heappop(self._heap)
-            task = entry[2]
-            if task.seq not in self._tasks:
-                continue
-            if task.prefix is None:
-                worker = min(free, key=lambda index: (self._claims[index], index))
-            else:
-                owner = self._prefix_owner.get(task.prefix)
-                if owner is None:
-                    worker = min(free, key=lambda index: (self._claims[index], index))
-                    self._prefix_owner[task.prefix] = worker
-                    self._claims[worker] += 1
-                    self._prefix_claims += 1
-                elif self._busy[owner]:
-                    deferred.append(entry)
-                    continue
-                else:
-                    worker = owner
-                    self._affinity_hits += 1
-            chosen = (task, worker)
-            break
-        for entry in deferred:
-            heapq.heappush(self._heap, entry)
-        return chosen
+            task = heapq.heappop(self._heap)[2]
+            if task.seq in self._tasks:
+                break
+        else:
+            return None
+        owner = self._prefix_owner.get(task.prefix)
+        if owner is not None and not self._busy[owner]:
+            self._affinity_hits += 1
+            return task, owner
+        worker = min(free, key=lambda index: (self._claims[index], index))
+        if owner is not None:
+            self._steals += 1
+        elif task.prefix is not None:
+            self._prefix_owner[task.prefix] = worker
+            self._claims[worker] += 1
+            self._prefix_claims += 1
+        return task, worker
+
+    def _respawn_locked(self, worker: int, pool, error) -> "ProcessPoolExecutor | None":
+        """Replace ``worker``'s sub-pool ``pool`` if ``error`` says it broke.
+
+        A :class:`BrokenProcessPool` means the worker's process died;
+        the fresh one owns no prefix (its cache is empty).  Returns the
+        broken pool for the caller to shut down outside the lock, or
+        ``None`` when nothing was replaced: another error, a pool
+        already replaced, or an executor shut down.
+        """
+        if (
+            not isinstance(error, BrokenProcessPool)
+            or self._closed
+            or self._pools[worker] is not pool
+        ):
+            return None
+        self._pools[worker] = self._new_pool()
+        self._prefix_owner = {
+            prefix: owner
+            for prefix, owner in self._prefix_owner.items()
+            if owner != worker
+        }
+        self._claims[worker] = 0
+        self._respawns += 1
+        return pool
 
     def _dispatch(self) -> None:
         """Feed queued work to free workers.
@@ -971,7 +995,9 @@ class PoolExecutor(_DispatchCore):
         Pops and submits one task at a time, releasing the lock around
         the sub-pool ``submit``: ``add_done_callback`` may invoke
         ``_on_done`` inline (already-failed future on a broken pool),
-        and ``_on_done`` re-acquires the non-reentrant lock.
+        and ``_on_done`` re-acquires the non-reentrant lock.  A task
+        whose ``submit`` finds the worker's process dead never started:
+        the worker is replaced and the task queued again.
         """
         while True:
             with self._space:
@@ -981,6 +1007,7 @@ class PoolExecutor(_DispatchCore):
                 task, worker = picked
                 task.started = True
                 self._busy[worker] = True
+                pool = self._pools[worker]
             job = task.job
             if job is not None:
                 # A job whose budget ran out while queued fails typed at
@@ -1011,32 +1038,45 @@ class PoolExecutor(_DispatchCore):
                 )
             try:
                 if job is not None:
-                    future = self._pools[worker].submit(
-                        _pool_worker_run, job, task.claim_span
-                    )
+                    future = pool.submit(_pool_worker_run, job, task.claim_span)
                 else:
                     fn, args, kwargs = task.payload
-                    future = self._pools[worker].submit(
-                        _pool_worker_call, fn, args, kwargs
-                    )
+                    future = pool.submit(_pool_worker_call, fn, args, kwargs)
             except Exception as exc:  # a broken or shut-down sub-pool
                 with self._space:
                     self._busy[worker] = False
-                    self._release_locked(task)
+                    broken = self._respawn_locked(worker, pool, exc)
+                    if broken is not None:
+                        task.started = False
+                        heapq.heappush(self._heap, (-task.priority, task.seq, task))
+                    else:
+                        self._release_locked(task)
+                if broken is not None:
+                    broken.shutdown(wait=False)
+                    continue
                 if self._closed:
                     exc = ReproError("executor is shut down")
                 self._deliver(task, error=exc)
                 continue
             future.add_done_callback(
-                lambda future, task=task, worker=worker: self._on_done(
-                    task, worker, future
+                lambda future, task=task, worker=worker, pool=pool: self._on_done(
+                    task, worker, pool, future
                 )
             )
 
-    def _on_done(self, task: _Task, worker: int, future) -> None:
+    def _on_done(self, task: _Task, worker: int, pool, future) -> None:
+        try:
+            payload, error = future.result(), None
+        except BaseException as exc:  # noqa: BLE001 - relayed to the awaiter
+            payload, error = None, exc
         with self._space:
             self._busy[worker] = False
             self._release_locked(task)
+            # The task that was running when the process died still
+            # fails: retrying a task that kills its worker would loop.
+            broken = self._respawn_locked(worker, pool, error)
+        if broken is not None:
+            broken.shutdown(wait=False)
         self._dispatch()
         job = task.job
         seconds = (
@@ -1044,20 +1084,18 @@ class PoolExecutor(_DispatchCore):
             if task.claimed_at is not None
             else None
         )
-        try:
-            payload = future.result()
-        except BaseException as exc:  # noqa: BLE001 - relayed to the awaiter
+        if error is not None:
             if self.tracer is not None:
                 self.tracer.emit(
                     "done",
                     fingerprint=task.handle.fingerprint if job is not None else None,
                     kind=task.kind,
                     seconds=seconds,
-                    error=f"{type(exc).__name__}: {exc}",
+                    error=f"{type(error).__name__}: {error}",
                     trace_id=job.trace_id if job is not None else None,
                     parent_span=job.span_id if job is not None else None,
                 )
-            self._deliver(task, error=exc)
+            self._deliver(task, error=error)
             return
         if job is None:
             value, pid, worker_snapshot = payload
@@ -1083,6 +1121,8 @@ class PoolExecutor(_DispatchCore):
         return {
             "prefix_claims": self._prefix_claims,
             "affinity_hits": self._affinity_hits,
+            "steals": self._steals,
+            "worker_respawns": self._respawns,
         }
 
     def shutdown(self, wait: bool = True) -> None:

@@ -1,6 +1,6 @@
 """Broker contract tests: the same suite over both zero-dep brokers.
 
-The distributed runtime's correctness rests on three broker
+The distributed runtime's correctness rests on four broker
 guarantees exercised here per implementation:
 
 * **exclusive claims** — two workers never both hold a live lease;
@@ -11,10 +11,15 @@ guarantees exercised here per implementation:
 * **idempotent duplicate delivery** — a stale completion (the original
   worker finishing after its lease lapsed) is recorded, reported as
   stale, and never corrupts the result channel; queued duplicates of a
-  finished task are dropped at claim time.
+  finished task are dropped at claim time;
+* **work-conserving affinity** — a key's tasks go to its owner while
+  the owner is free, and to any claimer while the owner holds a live
+  claim; such a steal never takes the key.
 """
 
 import pickle
+import sys
+import threading
 import time
 
 import pytest
@@ -30,6 +35,7 @@ from repro.service.dist.broker import (
 from repro.service.dist.fsbroker import FilesystemBroker
 from repro.service.dist.sqlitebroker import SQLiteBroker
 from repro.service.dist.worker import worker_loop
+from repro.service.journal import frame_bytes
 
 
 @pytest.fixture(params=["fs", "sqlite"])
@@ -183,6 +189,24 @@ class TestDuplicateDelivery:
         assert broker.claim("w", lease=30.0) is None
         assert broker.stats()["queued"] == 0
 
+    def test_dropping_a_finished_duplicate_keeps_the_live_lease(self, tmp_path):
+        broker = FilesystemBroker(tmp_path / "queue")
+        task = _task()
+        broker.put(task)
+        claim = broker.claim("finisher", lease=30.0)
+        broker.put(
+            TaskEnvelope(task_id=task.task_id, kind=task.kind, payload=task.payload)
+        )
+        # The finisher is mid-``complete``: its result is written, and
+        # it has yet to read its lease to clean up the claimed entry.
+        broker._write_atomic(
+            broker.root / "results" / f"{task.task_id}.res",
+            frame_bytes(encode_result(value=1)),
+        )
+        assert broker.claim("other", lease=30.0) is None  # the twin is dropped
+        assert broker.complete(claim, encode_result(value=1)) is True
+        assert broker.stats()["queued"] == 0 and broker.stats()["claimed"] == 0
+
 
 class TestAffinity:
     def test_affinity_key_sticks_to_first_claimant(self, broker):
@@ -191,9 +215,76 @@ class TestAffinity:
         broker.put(second)
         owner_claim = broker.claim("owner", lease=30.0)
         assert owner_claim.envelope.task_id == first.task_id
-        # Another worker skips the owned key; the owner picks it up.
+        broker.complete(owner_claim, encode_result(value=1))
+        # The owner is live and free: another worker skips the owned
+        # key, and the owner picks it up at its next poll.
         assert broker.claim("other", lease=30.0) is None
         assert broker.claim("owner", lease=30.0).envelope.task_id == second.task_id
+
+    def test_idle_worker_steals_from_a_busy_owner(self, broker):
+        tasks = [_task(affinity="abc123") for _ in range(3)]
+        for task in tasks[:2]:
+            broker.put(task)
+        owner_claim = broker.claim("owner", lease=30.0)
+        # The owner holds a live claim, so another worker runs its next
+        # same-key task instead of idling behind it.
+        stolen = broker.claim("other", lease=30.0)
+        assert stolen is not None and stolen.envelope.task_id == tasks[1].task_id
+        assert broker.heartbeat(stolen, lease=30.0)
+        broker.complete(stolen, encode_result(value=2))
+        broker.complete(owner_claim, encode_result(value=1))
+        # Neither the steal nor its heartbeat took the key: with both
+        # workers free, the next same-key task still waits for the owner.
+        broker.put(tasks[2])
+        assert broker.claim("other", lease=30.0) is None
+        assert broker.claim("owner", lease=30.0).envelope.task_id == tasks[2].task_id
+
+    def test_concurrent_claimers_share_busy_owners_backlogs(self, broker):
+        # More claimers than cores on two keys: while each key's owner
+        # holds a claim the others steal its backlog, and claims stay
+        # exclusive (a lost update would hand one task out twice).
+        tasks = [_task(affinity=f"log-{index % 2}") for index in range(40)]
+        for task in tasks:
+            broker.put(task)
+        claimed: dict[str, list[str]] = {}
+        lock = threading.Lock()
+        barrier = threading.Barrier(4, timeout=10)
+
+        def claimer(name):
+            own = connect_broker(broker.url)
+            deadline = time.monotonic() + 30
+            try:
+                barrier.wait()
+                while len(claimed) < len(tasks) and time.monotonic() < deadline:
+                    claim = own.claim(name, lease=30.0)
+                    if claim is None:  # only idle owners' tasks are left
+                        time.sleep(0.001)
+                        continue
+                    with lock:
+                        claimed.setdefault(claim.envelope.task_id, []).append(name)
+                    time.sleep(0.005)  # hold the claim: this worker is busy
+                    own.complete(claim, encode_result(value=name))
+            finally:
+                own.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=claimer, args=(f"w{index}",))
+                for index in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(claimed) == sorted(task.task_id for task in tasks)
+        assert all(len(names) == 1 for names in claimed.values())
+        assert len({names[0] for names in claimed.values()}) > 2
+        assert broker.stats()["queued"] == 0 and broker.stats()["claimed"] == 0
 
     def test_dead_worker_releases_its_affinity_hold(self, broker):
         # Affinity ownership leases are much longer than task leases;

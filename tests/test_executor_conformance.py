@@ -3,9 +3,9 @@
 ``PoolExecutor`` and ``DistributedExecutor`` share one dispatch core: the
 submit front door (parent-cache hits, tenant quotas, ``max_load``
 shedding, coalescing, backpressure) and completion bookkeeping.  Every
-test here runs against both transports, each with one worker, so a
-front-door behaviour can never hold for one and silently break on the
-other.
+test here runs against both transports, each with one worker unless it
+checks routing, so a front-door behaviour can never hold for one and
+silently break on the other.
 """
 
 import threading
@@ -18,9 +18,10 @@ import repro.service.executor as pool_executor
 from repro.constraints import ConstraintSet, MaxGroupSize
 from repro.exceptions import ReproError
 from repro.obs.trace import read_trace
-from repro.service import AbstractionJob, LogRef, PoolExecutor
+from repro.service import AbstractionJob, LogRef, PoolExecutor, SequentialExecutor
 from repro.service.dist import DistributedExecutor
 from repro.service.resilience import AdmissionController, Overloaded
+from repro.service.serialization import result_signature
 
 TRANSPORTS = ("pool", "dist")
 
@@ -72,15 +73,15 @@ def transport(request):
 
 @pytest.fixture
 def make(transport, tmp_path):
-    """Build one-worker executors of the parametrized transport."""
+    """Build executors (one worker by default) of the parametrized transport."""
     made = []
 
-    def build(**kwargs):
+    def build(workers=1, **kwargs):
         if transport == "pool":
-            executor = PoolExecutor(workers=1, **kwargs)
+            executor = PoolExecutor(workers=workers, **kwargs)
         else:
             executor = DistributedExecutor(
-                f"fs://{tmp_path / f'q{len(made)}'}", workers=1,
+                f"fs://{tmp_path / f'q{len(made)}'}", workers=workers,
                 lease=5.0, poll_interval=0.02, **kwargs,
             )
         made.append(executor)
@@ -99,6 +100,21 @@ def test_identical_inflight_jobs_coalesce(make):
     assert second.cached is True
     third = executor.submit(_job(3))  # after completion: a parent-cache hit
     assert third.done() and third.cached is True
+
+
+def test_two_workers_on_one_log_match_sequential(make):
+    # Work-conserving affinity: while the log's owner is busy the other
+    # worker steals, so each worker builds the log's artifacts at most
+    # once and every result stays byte-identical.
+    jobs = [_job(size) for size in (2, 3, 4, 5, 6)]
+    executor = make(workers=2)
+    handles = [executor.submit(job) for job in jobs]
+    results = [handle.result(timeout=120) for handle in handles]
+    sequential = SequentialExecutor()
+    assert [result_signature(result) for result in results] == [
+        result_signature(sequential.submit(job).result()) for job in jobs
+    ]
+    assert executor.stats()["workers_total"]["artifact_builds"] <= 2 * 1
 
 
 def test_priorities_dispatch_high_first(make, tmp_path):

@@ -8,9 +8,12 @@ never a silently degraded result.
 """
 
 import json
+import os
+import signal
 import socket
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -379,6 +382,53 @@ class TestExecutorDeadlines:
             with pytest.raises(DeadlineExceeded):
                 handle.result(timeout=30)
             assert time.perf_counter() - started < 10.0
+
+
+# -- pool workers that die ---------------------------------------------------
+
+
+def _exit_call(cache=None):
+    """Kill the worker process running it (module-level: picklable)."""
+    os._exit(3)
+
+
+def _pid_call(cache=None):
+    return os.getpid()
+
+
+class TestPoolWorkerRespawn:
+    def test_dead_owner_is_replaced_and_its_log_keeps_serving(self):
+        jobs = [_job(size) for size in (2, 3, 4, 5, 6)]
+        with PoolExecutor(workers=2) as pool:
+            # Worker 0 becomes the log's owner; worker 1 is then held
+            # busy, so the crashing call lands on the owner.
+            first = pool.submit(jobs[0]).result(timeout=60)
+            blocker = pool.submit_call(_sleep_call, 1.0)
+            crash = pool.submit_call(_exit_call)
+            # The call that killed its worker still fails: retrying it
+            # would crash-loop the pool.
+            with pytest.raises(BrokenProcessPool):
+                crash.result(timeout=60)
+            later = [pool.submit(job).result(timeout=60) for job in jobs[1:]]
+            assert blocker.result(timeout=60) == "slept"
+            scheduler = pool.stats()["scheduler"]
+        assert [result_signature(r) for r in [first, *later]] == [
+            _sequential_signature(job) for job in jobs
+        ]
+        assert scheduler["worker_respawns"] == 1
+
+    def test_task_submitted_to_a_dead_idle_worker_is_dispatched_again(self):
+        with PoolExecutor(workers=1) as pool:
+            os.kill(pool.submit_call(_pid_call).result(timeout=60), signal.SIGKILL)
+            # Wait until the sub-pool has noticed, so the next submit
+            # itself fails: the task never started and must not fail.
+            deadline = time.monotonic() + 30
+            while not pool._pools[0]._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._pools[0]._broken
+            result = pool.submit(_job(4)).result(timeout=60)
+            assert pool.stats()["scheduler"]["worker_respawns"] == 1
+        assert result_signature(result) == _sequential_signature(_job(4))
 
 
 # -- admission control on the executors --------------------------------------

@@ -1,5 +1,7 @@
 """Executor behavior: sequential/pool equivalence, coalescing, offload."""
 
+import heapq
+import random
 import time
 
 import pytest
@@ -152,20 +154,21 @@ class TestPoolExecutor:
             pool.submit(jobs_grid()[0])
 
     def test_affinity_routes_log_to_one_worker(self):
-        """Cache-aware scheduling: one artifact build per log, not per
-        (worker, log) — jobs sharing a log-prefix fingerprint all land
-        on the worker that claimed the prefix."""
+        """Cache-aware scheduling: the first job on a log claims its
+        prefix, and every later job on it either goes to the prefix's
+        owner (a hit) or, while the owner is busy, to a free worker (a
+        steal) — so builds stay within workers × logs."""
         jobs = jobs_grid()  # 3 running-example jobs + 2 loan jobs
-        num_logs = 2
-        with PoolExecutor(workers=2) as pool:
+        num_logs, workers = 2, 2
+        with PoolExecutor(workers=workers) as pool:
             for handle in [pool.submit(job) for job in jobs]:
                 handle.result(timeout=300)
             stats = pool.stats()
-        assert stats["scheduler"]["prefix_claims"] == num_logs
-        # The acceptance counter: without affinity the bound is
-        # workers × logs (= 4) builds; with it, exactly one per log.
-        assert stats["workers_total"]["artifact_builds"] == num_logs
-        assert stats["scheduler"]["affinity_hits"] == len(jobs) - num_logs
+        scheduler = stats["scheduler"]
+        assert scheduler["prefix_claims"] == num_logs
+        assert stats["workers_total"]["artifact_builds"] <= workers * num_logs
+        assert scheduler["affinity_hits"] + scheduler["steals"] == len(jobs) - num_logs
+        assert scheduler["worker_respawns"] == 0
 
     def test_submit_call_runs_on_workers_with_cache(self):
         from repro.selection2 import Component, solve_component_task
@@ -216,6 +219,90 @@ class TestPoolExecutor:
         assert [result_signature(r) for r in results] == [
             result_signature(r) for r in expected
         ]
+
+
+def _queue(pool, prefix, priority=0):
+    """Register a queued task by hand; no worker process is involved."""
+    from repro.service.executor import _KIND_CALL, _KIND_JOB, _Task
+
+    seq = next(pool._seq)
+    kind = _KIND_CALL if prefix is None else _KIND_JOB
+    task = _Task(kind, None, None, priority, seq=seq, prefix=prefix)
+    pool._tasks[seq] = task
+    heapq.heappush(pool._heap, (-priority, seq, task))
+    return task
+
+
+class TestWorkConservingPick:
+    """``PoolExecutor._pick_locked`` driven by hand with ``_busy`` set:
+    sub-pools start no process until a task is submitted, and none is."""
+
+    @pytest.fixture
+    def pool(self):
+        pool = PoolExecutor(workers=3)
+        yield pool
+        pool._tasks.clear()  # the hand-made tasks have no handles to fail
+        pool.shutdown()
+
+    def test_free_owner_runs_its_prefix(self, pool):
+        pool._prefix_owner[("log-a",)] = 2
+        pool._claims[2] = 1
+        task = _queue(pool, ("log-a",))
+        with pool._lock:
+            assert pool._pick_locked() == (task, 2)
+        scheduler = pool.stats()["scheduler"]
+        assert scheduler["affinity_hits"] == 1 and scheduler["steals"] == 0
+
+    def test_busy_owner_loses_the_task_to_the_least_claimed_free_worker(self, pool):
+        pool._prefix_owner.update({("log-a",): 0, ("log-b",): 1})
+        pool._claims[:] = [1, 1, 0]
+        pool._busy[0] = True
+        task = _queue(pool, ("log-a",))
+        with pool._lock:
+            assert pool._pick_locked() == (task, 2)
+        scheduler = pool.stats()["scheduler"]
+        assert scheduler["steals"] == 1 and scheduler["affinity_hits"] == 0
+        # A steal runs the task without taking its prefix.
+        assert pool._prefix_owner[("log-a",)] == 0
+        assert pool._claims == [1, 1, 0]
+
+    def test_unowned_prefix_is_claimed_by_the_least_claimed_free_worker(self, pool):
+        pool._claims[:] = [0, 2, 1]
+        pool._busy[0] = True
+        task = _queue(pool, ("log-c",))
+        with pool._lock:
+            assert pool._pick_locked() == (task, 2)
+        assert pool._prefix_owner[("log-c",)] == 2
+        assert pool._claims == [0, 2, 2]
+        assert pool.stats()["scheduler"]["prefix_claims"] == 1
+
+    def test_top_live_task_always_dispatches_while_a_worker_is_free(self, pool):
+        rng = random.Random(19)
+        prefixes = [("log-a",), ("log-b",), ("log-c",), None]
+        for _ in range(300):
+            pool._tasks.clear()
+            pool._heap.clear()
+            pool._busy[:] = [rng.random() < 0.5 for _ in range(pool.workers)]
+            pool._prefix_owner = {
+                prefix: rng.randrange(pool.workers)
+                for prefix in prefixes[:-1] if rng.random() < 0.7
+            }
+            queued = [
+                _queue(pool, rng.choice(prefixes), rng.randrange(3))
+                for _ in range(rng.randrange(5))
+            ]
+            for task in queued:
+                if rng.random() < 0.3:  # shed while queued: a stale entry
+                    del pool._tasks[task.seq]
+            live = [task for task in queued if task.seq in pool._tasks]
+            with pool._lock:
+                picked = pool._pick_locked()
+            if all(pool._busy) or not live:
+                assert picked is None
+                continue
+            task, worker = picked
+            assert task is min(live, key=lambda t: (-t.priority, t.seq))
+            assert not pool._busy[worker]
 
 
 class TestArtifactGuards:
