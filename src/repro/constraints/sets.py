@@ -12,8 +12,8 @@ When Step 2 finds no feasible grouping, :meth:`ConstraintSet.diagnose`
 produces the infeasibility report the paper describes in §V-C: which
 event classes cannot be covered by any candidate, which classes violate
 class-based constraints even as singletons, and for instance-based
-constraints the fraction of traces in which the singleton group of each
-class violates them.
+constraints the fraction of each class's singleton-group instances that
+violate them.
 """
 
 from __future__ import annotations
@@ -39,6 +39,41 @@ ClassAttributeView = dict[str, dict[str, frozenset]]
 
 #: Provider of a group's instances, injected by the core layer.
 InstanceProvider = Callable[[frozenset], Sequence[Sequence[Event]]]
+
+#: ``(constraints, classes) -> tables``, as :func:`count_violations`.
+ViolationCounter = Callable[
+    [Sequence[InstanceConstraint], Sequence[str]], list[dict[str, tuple[int, int]]]
+]
+
+
+def count_violations(
+    constraints: Sequence[InstanceConstraint],
+    classes: Sequence[str],
+    instance_provider: InstanceProvider,
+) -> list[dict[str, tuple[int, int]]]:
+    """Violating instances of each class's singleton group, per constraint.
+
+    One ``{class: (violated, instances)}`` table per constraint, for the
+    classes whose singleton has instances.  This reference counter
+    judges every instance with ``constraint.check_instance``; the
+    compiled engine's :meth:`repro.core.checker.GroupChecker.count_violations`
+    must return the same tables.
+    """
+    tables = []
+    for constraint in constraints:
+        table: dict[str, tuple[int, int]] = {}
+        for cls in classes:
+            singleton = frozenset([cls])
+            instances = instance_provider(singleton)
+            if instances:
+                violated = sum(
+                    1
+                    for instance in instances
+                    if not constraint.check_instance(instance, singleton)
+                )
+                table[cls] = (violated, len(instances))
+        tables.append(table)
+    return tables
 
 
 def class_attribute_view(log: EventLog) -> ClassAttributeView:
@@ -201,22 +236,28 @@ class ConstraintSet:
         class_attributes: Mapping[str, Mapping[str, frozenset]] | None,
         instance_provider: InstanceProvider | None,
         candidates: Iterable[frozenset[str]] = (),
+        counter: ViolationCounter | None = None,
     ) -> "InfeasibilityReport":
         """Explain why no feasible grouping exists (paper §V-C).
 
         The report lists event classes not covered by any candidate,
         classes whose singleton group already violates a class-based
         constraint, and — per instance-based constraint — the fraction
-        of instance-bearing traces in which each class's singleton group
-        violates it.
+        of each class's singleton-group instances that violate it (the
+        classes without a violating instance are left out).  The
+        violation counts come from ``counter``
+        (default: :func:`count_violations` over ``instance_provider``);
+        every fraction divides the same two integers whichever counter
+        ran, so reports are equal, insertion order included.
         """
         covered: set[str] = set()
         for candidate in candidates:
             covered.update(candidate)
         uncovered = sorted(log.classes - covered)
 
+        classes = sorted(log.classes)
         class_violations: dict[str, list[str]] = {}
-        for cls in sorted(log.classes):
+        for cls in classes:
             singleton = frozenset([cls])
             failing = [
                 constraint.describe()
@@ -228,20 +269,18 @@ class ConstraintSet:
 
         instance_violation_fractions: dict[str, dict[str, float]] = {}
         if self.instance_based and instance_provider is not None:
-            for constraint in self.instance_based:
+            if counter is None:
+                tables = count_violations(
+                    self.instance_based, classes, instance_provider
+                )
+            else:
+                tables = counter(self.instance_based, classes)
+            for constraint, table in zip(self.instance_based, tables):
                 per_class: dict[str, float] = {}
-                for cls in sorted(log.classes):
-                    singleton = frozenset([cls])
-                    instances = instance_provider(singleton)
-                    if not instances:
-                        continue
-                    violated = sum(
-                        1
-                        for instance in instances
-                        if not constraint.check_instance(instance, singleton)
-                    )
+                for cls in classes:
+                    violated, instances = table.get(cls, (0, 0))
                     if violated:
-                        per_class[cls] = violated / len(instances)
+                        per_class[cls] = violated / instances
                 if per_class:
                     instance_violation_fractions[constraint.describe()] = per_class
 

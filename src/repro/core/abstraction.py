@@ -27,8 +27,11 @@ compiled engine's instance span arrays: per group, the first/last
 positions and event counts come straight from vectorized detection, and
 the provenance timestamps are located by exact integer-microsecond
 segment reductions over the log's timestamp column
-(:mod:`repro.core.columns`) — the emitted events are byte-for-byte
-identical, only the per-event scans are gone.
+(:mod:`repro.core.columns`).  Every emitted event's (trace, position,
+start-before-complete) key goes into one array, a single ``np.lexsort``
+orders the events of all traces at once, and each output trace is a
+slice of that order — the emitted events are byte-for-byte identical,
+only the per-event scans and per-trace sorts are gone.
 """
 
 from __future__ import annotations
@@ -140,9 +143,10 @@ def _abstract_traces_compiled(log, grouping, index, strategy):
     argmax over the timestamp column, then the *original* ``datetime``
     objects are emitted — so every attribute, including tie-breaks
     between equal stamps, matches the reference byte-for-byte.  The
-    per-trace ``(position, order)`` sort key is total (a grouping
-    partitions the classes, so no two emitted events share a position
-    and order), which makes the output independent of emission order.
+    ``(trace, position, order)`` key of the emitted events is total (a
+    grouping partitions the classes, so no two events of one trace
+    share a position and order), which makes one ``np.lexsort`` over
+    all groups' keys equal to the reference's per-trace sorts.
     """
     from repro.core import encoding
 
@@ -160,8 +164,11 @@ def _abstract_traces_compiled(log, grouping, index, strategy):
         return None
     import numpy as np
 
-    emitted: list[list[tuple[int, int, Event]]] = [[] for _ in range(len(log))]
+    events: list[Event] = []
+    # Sort keys of ``events``, one array per emission block.
+    owners, places, orders = [], [], []
     big = np.iinfo(np.int64).max
+    objects = column.objects
     for group in grouping:
         label = grouping.label_of(group)
         group_attr = ",".join(sorted(group))
@@ -190,57 +197,53 @@ def _abstract_traces_compiled(log, grouping, index, strategy):
             first_at = np.minimum.reduceat(
                 np.where(flags & (us == lows[seg_ids]), order, big), starts
             )
-            stamped = (
-                np.add.reduceat(flags.astype(np.int64), starts) > 0
-            ).tolist()
-            hit_list = hits.tolist()
-            last_at = last_at.tolist()
-            first_at = first_at.tolist()
+            stamped = np.add.reduceat(flags.astype(np.int64), starts) > 0
+            last_stamps = [objects[i] for i in hits[last_at[stamped]].tolist()]
+            first_stamps = [
+                objects[i] for i in hits[first_at[stamped]].tolist()
+            ]
+            stamped = stamped.tolist()
         else:
             stamped = [False] * num_instances
-            hit_list = first_at = last_at = None
-        objects = column.objects
-        rows = zip(
-            stats.trace_ids, stats.firsts, stats.lasts, stats.counts, stamped
-        )
-        for position, (owner, first, last, count, has_stamp) in enumerate(rows):
-            attributes = {
-                GROUP_ATTRIBUTE: group_attr,
-                SIZE_ATTRIBUTE: count,
-            }
+        stamp_at = 0
+        starts_emitted: list[Event] = []
+        for count, has_stamp in zip(counts.tolist(), stamped):
+            attributes = {GROUP_ATTRIBUTE: group_attr, SIZE_ATTRIBUTE: count}
             if has_stamp:
-                attributes[TIMESTAMP_KEY] = objects[hit_list[last_at[position]]]
-                attributes["gecco:start_timestamp"] = objects[
-                    hit_list[first_at[position]]
-                ]
-            bucket = emitted[owner]
+                attributes[TIMESTAMP_KEY] = last_stamps[stamp_at]
+                attributes["gecco:start_timestamp"] = first_stamps[stamp_at]
+                stamp_at += 1
             if strategy == "complete" or count == 1:
-                event = Event(
-                    label, {**attributes, LIFECYCLE_ATTRIBUTE: "complete"}
-                )
-                bucket.append((last, 1, event))
-            else:
-                start_attributes = dict(attributes)
-                start_attributes[LIFECYCLE_ATTRIBUTE] = "start"
-                if "gecco:start_timestamp" in start_attributes:
-                    start_attributes[TIMESTAMP_KEY] = start_attributes[
-                        "gecco:start_timestamp"
-                    ]
-                bucket.append((first, 0, Event(f"{label}_s", start_attributes)))
-                bucket.append(
-                    (
-                        last,
-                        1,
-                        Event(
-                            f"{label}_c",
-                            {**attributes, LIFECYCLE_ATTRIBUTE: "complete"},
-                        ),
-                    )
-                )
-    traces = []
-    for trace, bucket in zip(log, emitted):
-        bucket.sort(key=lambda item: (item[0], item[1]))
-        traces.append(
-            Trace([event for _, _, event in bucket], dict(trace.attributes))
+                attributes[LIFECYCLE_ATTRIBUTE] = "complete"
+                events.append(Event(label, attributes))
+                continue
+            start_attributes = dict(attributes)
+            start_attributes[LIFECYCLE_ATTRIBUTE] = "start"
+            if has_stamp:
+                start_attributes[TIMESTAMP_KEY] = start_attributes[
+                    "gecco:start_timestamp"
+                ]
+            starts_emitted.append(Event(f"{label}_s", start_attributes))
+            attributes[LIFECYCLE_ATTRIBUTE] = "complete"
+            events.append(Event(f"{label}_c", attributes))
+        owners.append(stats.trace_ids)
+        places.append(stats.lasts)
+        orders.append(np.ones(num_instances, dtype=np.int8))
+        if starts_emitted:
+            multi = counts > 1
+            events.extend(starts_emitted)
+            owners.append(stats.trace_ids[multi])
+            places.append(stats.firsts[multi])
+            orders.append(np.zeros(len(starts_emitted), dtype=np.int8))
+    bounds = [0] * (len(log) + 1)
+    if events:
+        owner = np.concatenate(owners)
+        ordering = np.lexsort(
+            (np.concatenate(orders), np.concatenate(places), owner)
         )
-    return traces
+        events = [events[i] for i in ordering.tolist()]
+        bounds = np.searchsorted(owner[ordering], np.arange(len(bounds))).tolist()
+    return [
+        Trace(events[lo:hi], dict(trace.attributes))
+        for trace, lo, hi in zip(log, bounds, bounds[1:])
+    ]

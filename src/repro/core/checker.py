@@ -16,13 +16,19 @@ and the log's attribute columns, no :class:`~repro.eventlog.events.Event`
 materialization — with an automatic per-constraint fallback to the
 reference path when a constraint type has no kernel or a column cannot
 represent the attribute faithfully.  Verdicts are identical either way.
+The same kernels count the violating singleton instances for the
+infeasibility diagnosis (:meth:`GroupChecker.count_violations`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from repro.constraints.sets import ConstraintSet, class_attribute_view
+from repro.constraints.sets import (
+    ConstraintSet,
+    class_attribute_view,
+    count_violations,
+)
 from repro.core.instances import InstanceIndex
 from repro.eventlog.events import EventLog
 
@@ -58,7 +64,13 @@ class _LazyClassAttributeView(Mapping):
 
 
 class GroupChecker:
-    """Memoized ``holds`` evaluation for one log and constraint set."""
+    """Memoized ``holds`` evaluation for one log and constraint set.
+
+    On the compiled engine the checker owns the instance-kernel plan,
+    so it also supplies the compiled counter of
+    :meth:`~repro.constraints.sets.ConstraintSet.diagnose`
+    (:meth:`count_violations`).
+    """
 
     def __init__(
         self,
@@ -302,6 +314,70 @@ class GroupChecker:
         return self.constraints.check_class_constraints(
             frozenset(group), self.class_attributes
         )
+
+    def count_violations(
+        self, constraints, classes
+    ) -> list[dict[str, tuple[int, int]]]:
+        """Violating singleton instances per class, on the kernels.
+
+        A :data:`~repro.constraints.sets.ViolationCounter` equal to the
+        reference :func:`~repro.constraints.sets.count_violations`.  One
+        ``prime`` sweep detects every singleton; a group-free kernel
+        judges all their instances in one ``verdict_array`` call over
+        the stacked spans and one segment sum counts the violations per
+        class, while a group-dependent kernel
+        (:class:`~repro.constraints.instancebased.MinEventsPerClass`)
+        runs once per singleton.  A constraint without a kernel, or
+        whose column is unavailable, is counted by the reference loop.
+        """
+        kernels = {id(c): k for c, k in self._instance_plan or ()}
+        if not kernels:
+            return count_violations(constraints, classes, self.instances.events)
+        import numpy as np
+
+        from repro.core.columns import stack_instances
+
+        singletons = [frozenset([cls]) for cls in classes]
+        self.instances.prime(singletons)
+        populated = []
+        for cls, singleton in zip(classes, singletons):
+            stats = self.instances.stats(singleton)
+            if len(stats):
+                populated.append((cls, singleton, stats))
+        if not populated:
+            return [{} for _ in constraints]
+        stacked = None
+        tables = []
+        for constraint in constraints:
+            kernel = kernels.get(id(constraint))
+            violated = None
+            if kernel is not None and kernel.group_free:
+                if stacked is None:
+                    stacked = stack_instances([stats for _, _, stats in populated])
+                rows = kernel.verdict_array(stacked, None)
+                if rows is not None:
+                    violated = np.add.reduceat(
+                        ~rows, stacked.offsets[:-1], dtype=np.int64
+                    ).tolist()
+            elif kernel is not None:
+                rows = [
+                    kernel.verdict_array(stats, singleton)
+                    for _, singleton, stats in populated
+                ]
+                if all(row is not None for row in rows):
+                    violated = [int(np.count_nonzero(~row)) for row in rows]
+            if violated is None:
+                tables += count_violations(
+                    [constraint], classes, self.instances.events
+                )
+            else:
+                tables.append(
+                    {
+                        cls: (count, len(stats))
+                        for (cls, _, stats), count in zip(populated, violated)
+                    }
+                )
+        return tables
 
     def cache_size(self) -> int:
         """Number of memoized group verdicts (introspection/tests)."""

@@ -20,19 +20,22 @@ the hot path once per log:
   indexed with the log's class-ID buffer, a single ``np.nonzero``
   yields every (group, position) hit, and the three splitting policies
   (``repeat`` / ``none`` / ``gap``) become boolean boundary masks over
-  the flat hit list.  The result per group is a set of per-instance
-  summaries (first/last position, event count, distinct classes); the
+  the flat hit list.  The result per group is a
+  :class:`GroupInstances`: int64/float64 views into the sweep's arrays
+  (first/last position, event count, distinct classes, Eq. 1 cohesion
+  term per instance).  Eq. 1, the instance-constraint kernels, the
+  infeasibility diagnosis and Step 3 all read these arrays; the
   reference ``(trace index, positions)`` form is materialized lazily,
-  only where the pipeline actually consumes positions.
+  only where a consumer needs Python lists.
 * :class:`CompiledInstanceIndex` and :class:`CompiledDistanceFunction`
   are drop-in replacements for :class:`~repro.core.instances.InstanceIndex`
   and :class:`~repro.core.distance.DistanceFunction` built on top of
   the compiled log.  They return **byte-identical** instances and
-  **bitwise-identical** Eq. 1 distances: the per-instance terms are
-  accumulated left-to-right over the same correctly-rounded divisions
-  as the reference loop — on pre-extracted integers instead of
-  ``Event`` objects — which is what lets the beam search of Algorithm 2
-  produce the same candidate sets on either engine.
+  **bitwise-identical** Eq. 1 distances: the per-instance terms are the
+  same correctly-rounded divisions as the reference loop, accumulated
+  left to right by ``np.add.accumulate`` (sequential by definition,
+  unlike the pairwise ``np.sum``) — which is what lets the beam search
+  of Algorithm 2 produce the same candidate sets on either engine.
 * :class:`CompiledDfgOps` mirrors the group-level DFG neighborhood API
   (``pre`` / ``post`` / ``exclusive`` / ``signature``) on class
   bitmasks so Algorithm 3's exclusive-candidate merging shares the
@@ -82,18 +85,22 @@ def _require_numpy() -> None:
 
 
 class GroupInstances:
-    """Summary of one group's instances in a log.
+    """Summary of one group's instances in a log, as numpy arrays.
 
-    Five parallel lists describe the instances in reference order
-    (ascending trace, then position): the owning trace index, the first
-    and last position within the trace, the event count, and the number
-    of distinct classes.  ``positions`` holds the group's flat event
-    positions; consecutive ``counts`` slices of it are the instances.
-    The reference ``(trace index, positions list)`` representation is
-    materialized lazily by :meth:`pairs` and cached.
+    Parallel int64 arrays describe the instances in reference order
+    (ascending trace, then position): the owning trace index
+    (``trace_ids``), the first and last position within the trace, the
+    event count, and the number of distinct classes; ``cohesion`` holds
+    each instance's float64 Eq. 1 cohesion term.  ``positions`` holds
+    the group's flat event positions and ``hit_ids`` their global
+    event indexes (into ``CompiledLog.all_ids``); consecutive
+    ``counts`` slices of either are the instances.  All of them are
+    views into the arrays of the detection sweep that produced them.
+    The reference-format accessors :meth:`pairs` and
+    :meth:`distinct_list` build Python lists lazily.
     """
 
-    __slots__ = (
+    ARRAYS = (
         "trace_ids",
         "firsts",
         "lasts",
@@ -102,9 +109,8 @@ class GroupInstances:
         "cohesion",
         "positions",
         "hit_ids",
-        "_pairs",
-        "_segments",
     )
+    __slots__ = ARRAYS + ("_pairs", "_segments")
 
     def __init__(
         self,
@@ -115,21 +121,16 @@ class GroupInstances:
         distincts,
         cohesion,
         positions,
-        hit_ids=None,
+        hit_ids,
     ):
-        self.trace_ids: list[int] = trace_ids
-        self.firsts: list[int] = firsts
-        self.lasts: list[int] = lasts
-        self.counts: list[int] = counts
-        self.distincts: list[int] = distincts
-        #: Eq. 1 cohesion term ``interrupts(ξ)/|ξ|`` per instance,
-        #: precomputed vectorized during detection.
-        self.cohesion: list[float] = cohesion
-        self.positions: list[int] = positions
-        #: Global event indexes (into ``CompiledLog.all_ids``) of the
-        #: group's hits, parallel to ``positions``; the attribute-column
-        #: kernels gather column values through them.  ``None`` on the
-        #: pure-Python path (no compiled log).
+        self.trace_ids = trace_ids
+        self.firsts = firsts
+        self.lasts = lasts
+        self.counts = counts
+        self.distincts = distincts
+        #: Eq. 1 cohesion term ``interrupts(ξ)/|ξ|`` per instance.
+        self.cohesion = cohesion
+        self.positions = positions
         self.hit_ids = hit_ids
         self._pairs: list[tuple[int, list[int]]] | None = None
         self._segments = None
@@ -142,10 +143,10 @@ class GroupInstances:
 
         Returns ``(starts, counts)`` as int64 arrays: hits
         ``starts[i] : starts[i] + counts[i]`` of :attr:`hit_ids` are
-        instance ``i``.  Requires numpy (compiled path only).
+        instance ``i``.
         """
         if self._segments is None:
-            counts = np.asarray(self.counts, dtype=np.int64)
+            counts = self.counts
             starts = np.zeros(counts.size, dtype=np.int64)
             np.cumsum(counts[:-1], out=starts[1:])
             self._segments = (starts, counts)
@@ -154,10 +155,12 @@ class GroupInstances:
     def pairs(self) -> list[tuple[int, list[int]]]:
         """The instances as ``(trace index, positions)``, reference format."""
         if self._pairs is None:
-            flat = self.positions
+            flat = self.positions.tolist()
             result: list[tuple[int, list[int]]] = []
             start = 0
-            for trace_index, count in zip(self.trace_ids, self.counts):
+            for trace_index, count in zip(
+                self.trace_ids.tolist(), self.counts.tolist()
+            ):
                 end = start + count
                 result.append((trace_index, flat[start:end]))
                 start = end
@@ -166,10 +169,17 @@ class GroupInstances:
 
     def distinct_list(self) -> list[int]:
         """Distinct-class counts per instance, parallel to :meth:`pairs`."""
-        return self.distincts
+        return self.distincts.tolist()
 
 
-_EMPTY_INSTANCES = GroupInstances([], [], [], [], [], [], [])
+def _empty_instances() -> GroupInstances:
+    ints = np.zeros(0, dtype=np.int64)
+    return GroupInstances(
+        ints, ints, ints, ints, ints, np.zeros(0), ints, ints
+    )
+
+
+_EMPTY_INSTANCES = _empty_instances() if HAVE_NUMPY else None
 
 
 class CompiledLog:
@@ -288,10 +298,10 @@ class CompiledLog:
     def nbytes(self) -> int:
         """Approximate footprint of the compiled arrays, in bytes.
 
-        Surfaced as ``resident_artifact_bytes`` in the service-layer
-        artifact cache's snapshots (:mod:`repro.service.cache`) so
-        operators can see what the artifact tier holds; eviction itself
-        is entry-count bounded.
+        Part of ``resident_artifact_bytes`` in the service-layer
+        artifact cache's snapshots (:mod:`repro.service.cache`), next to
+        :attr:`CompiledInstanceIndex.nbytes`, so operators can see what
+        the artifact tier holds; eviction itself is entry-count bounded.
         """
         arrays = (
             self.offsets,
@@ -499,21 +509,14 @@ class CompiledLog:
                 num_instances,
             )
 
-        first_arr = local[inst_starts]
-        last_arr = local[inst_starts + counts - 1]
+        firsts = local[inst_starts]
+        lasts = local[inst_starts + counts - 1]
         # Cohesion term per instance: interrupts/|ξ|, with interrupts
         # defined as 0 for single-event instances (reference divides the
         # same integers, so the floats are bitwise identical).
-        cohesion = (
-            np.where(counts >= 2, last_arr - first_arr + 1 - counts, 0) / counts
-        ).tolist()
-        firsts = first_arr.tolist()
-        lasts = last_arr.tolist()
+        cohesion = np.where(counts >= 2, lasts - firsts + 1 - counts, 0) / counts
         inst_group = group_idx[inst_starts]
-        inst_trace = trace_of[inst_starts].tolist()
-        counts_list = counts.tolist()
-        distincts_list = distincts.tolist() if distincts is not counts else counts_list
-        positions = local.tolist()
+        inst_trace = trace_of[inst_starts]
 
         bounds = self._row_bounds[: len(batch) + 1]
         hit_bounds = np.searchsorted(group_idx, bounds).tolist()
@@ -528,11 +531,11 @@ class CompiledLog:
                     inst_trace[i0:i1],
                     firsts[i0:i1],
                     lasts[i0:i1],
-                    counts_list[i0:i1],
-                    distincts_list[i0:i1],
+                    counts[i0:i1],
+                    distincts[i0:i1],
                     cohesion[i0:i1],
-                    positions[h0:h1],
-                    hit_ids=event_idx[h0:h1],
+                    local[h0:h1],
+                    event_idx[h0:h1],
                 )
 
     def _repeat_boundaries(
@@ -659,25 +662,44 @@ class CompiledInstanceIndex(InstanceIndex):
     def cache_size(self) -> int:
         return len(self._stats_cache)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the cached instance summaries.
+
+        A summary's arrays are views into the arrays of the detection
+        sweep that produced it, shared by every group of that sweep;
+        each underlying buffer (and each cached ``segments()`` array)
+        is counted once.  Lazily built reference lists are not counted.
+        """
+        buffers: dict[int, int] = {}
+        for stats in list(self._stats_cache.values()):
+            arrays = [getattr(stats, name) for name in GroupInstances.ARRAYS]
+            if stats._segments is not None:
+                arrays.append(stats._segments[0])
+            for array in arrays:
+                while isinstance(array.base, np.ndarray):
+                    array = array.base
+                buffers[id(array)] = array.nbytes
+        return sum(buffers.values())
+
 
 def _eq1_from_stats(stats: GroupInstances, size: int) -> float:
     """Eq. 1 on an instance summary, replaying the reference arithmetic.
 
-    Same divisions on the same integers, accumulated in the same order
-    as :meth:`repro.core.distance.DistanceFunction.group_distance`, so
-    the result is bitwise identical.  The cohesion terms come
-    precomputed from detection; the missing terms take at most
-    ``size + 1`` distinct values and are tabulated once per group.
+    Same divisions on the same integers as
+    :meth:`repro.core.distance.DistanceFunction.group_distance`,
+    interleaved ``[cohesion_0, missing_0, cohesion_1, ...]`` in its
+    accumulation order.  ``np.add.accumulate`` adds left to right, so
+    its last element is the reference loop's total bit for bit
+    (``np.sum`` and ``reduceat`` sum pairwise and are not).
     """
     num_instances = len(stats.counts)
     if num_instances == 0:
         return 1.0 / size
-    missing_term = [(size - present) / size for present in range(size + 1)]
-    total = 0.0
-    for cohesion, distinct in zip(stats.cohesion, stats.distincts):
-        total += cohesion
-        total += missing_term[distinct]
-    return total / num_instances + 1.0 / size
+    terms = np.empty(2 * num_instances)
+    terms[0::2] = stats.cohesion
+    np.divide(size - stats.distincts, size, out=terms[1::2])
+    return float(np.add.accumulate(terms)[-1]) / num_instances + 1.0 / size
 
 
 class CompiledDistanceFunction(DistanceFunction):

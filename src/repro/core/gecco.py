@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from repro.constraints.sets import ConstraintSet, InfeasibilityReport
 from repro.core import encoding
@@ -284,16 +284,21 @@ def prepare_artifacts(log: EventLog, config: "GeccoConfig") -> PipelineArtifacts
 
 @dataclass
 class StepTimings:
-    """Wall-clock seconds per pipeline step."""
+    """Wall-clock seconds per pipeline step.
+
+    ``diagnosis`` is the time :meth:`ConstraintSet.diagnose` took on an
+    infeasible problem (0.0 when the problem is feasible).
+    """
 
     candidates: float = 0.0
     exclusive: float = 0.0
     selection: float = 0.0
     abstraction: float = 0.0
+    diagnosis: float = 0.0
 
     @property
     def total(self) -> float:
-        return self.candidates + self.exclusive + self.selection + self.abstraction
+        return sum(astuple(self))
 
 
 @dataclass
@@ -484,9 +489,15 @@ class Gecco:
         selection_stats = self._selection_stats(selection, len(candidates))
 
         if not selection.feasible:
+            started = time.perf_counter()
             report = self.constraints.diagnose(
-                log, checker.class_attributes, instance_index.events, candidates
+                log,
+                checker.class_attributes,
+                instance_index.events,
+                candidates,
+                counter=checker.count_violations,
             )
+            timings.diagnosis = time.perf_counter() - started
             if config.raise_on_infeasible:
                 raise InfeasibleProblemError(
                     "no grouping satisfies the constraints:\n" + report.summary(),

@@ -178,8 +178,8 @@ class ArtifactCache:
     ----------
     max_artifacts:
         Artifact-tier capacity (per-log bundles are large: the compiled
-        arrays alone are ``CompiledLog.nbytes`` bytes, and the instance
-        index grows with use — keep this small).
+        arrays are ``CompiledLog.nbytes`` bytes, and the instance index
+        grows with use to many times that — keep this small).
     max_results:
         Result-tier capacity.
     max_selections:
@@ -651,19 +651,22 @@ class ArtifactCache:
     def snapshot(self) -> dict:
         """Plain-data counters for reports and benchmarks.
 
-        ``resident_artifact_bytes`` sums the compiled arrays
-        (:attr:`~repro.core.encoding.CompiledLog.nbytes`) of resident
-        bundles — the dominant, measurable part of the artifact tier's
-        footprint (indexes and DFGs are excluded).
+        ``resident_artifact_bytes`` sums, over resident bundles, the
+        compiled arrays (:attr:`~repro.core.encoding.CompiledLog.nbytes`)
+        and the instance summaries cached so far
+        (:attr:`~repro.core.encoding.CompiledInstanceIndex.nbytes`, by
+        far the larger part once jobs have run); DFGs and the
+        pure-Python engine's indexes are excluded.
         """
         with self._lock:
             data = self.stats.as_dict()
             data["resident_results"] = len(self._results)
             data["resident_artifacts"] = len(self._artifacts)
             data["resident_selections"] = len(self._selections)
-            compiled_bytes = 0
+            resident_bytes = 0
             for bundle in self._artifacts.values():
-                compiled = getattr(bundle, "compiled", None)
-                compiled_bytes += getattr(compiled, "nbytes", 0) or 0
-            data["resident_artifact_bytes"] = compiled_bytes
+                for part in ("compiled", "instance_index"):
+                    owner = getattr(bundle, part, None)
+                    resident_bytes += getattr(owner, "nbytes", 0) or 0
+            data["resident_artifact_bytes"] = resident_bytes
             return data

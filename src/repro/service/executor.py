@@ -47,6 +47,7 @@ future-like (``done()`` to poll, ``result()`` to await).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import heapq
 import itertools
@@ -163,18 +164,12 @@ def run_job(
             log, artifacts, selection_cache=cache, deadline=deadline
         )
         if tracer is not None:
-            timings = result.timings
             tracer.emit(
                 "solve",
                 fingerprint=fingerprint.full,
                 seconds=time.perf_counter() - solve_started,
                 span_id=child_span_id(),
-                timings={
-                    "candidates": timings.candidates,
-                    "exclusive": timings.exclusive,
-                    "selection": timings.selection,
-                    "abstraction": timings.abstraction,
-                },
+                timings=dataclasses.asdict(result.timings),
                 engine=result.engine,
                 num_candidates=result.num_candidates,
                 selection_stats=(

@@ -355,13 +355,19 @@ class TestExhaustiveFrontier:
 class TestCompiledAbstraction:
     @staticmethod
     def _assert_logs_byte_identical(reference, compiled):
-        assert reference.attributes == compiled.attributes
+        # Key order counts too: batch rows and pickles keep dict order.
+        assert list(reference.attributes.items()) == list(
+            compiled.attributes.items()
+        )
         assert len(reference) == len(compiled)
         for ref_trace, com_trace in zip(reference, compiled):
-            assert ref_trace.attributes == com_trace.attributes
+            assert list(ref_trace.attributes.items()) == list(
+                com_trace.attributes.items()
+            )
             assert len(ref_trace) == len(com_trace)
             for ref_event, com_event in zip(ref_trace, com_trace):
                 assert ref_event.event_class == com_event.event_class
+                assert list(ref_event.attributes) == list(com_event.attributes)
                 assert ref_event.attributes == com_event.attributes
                 for key, value in ref_event.attributes.items():
                     assert repr(value) == repr(com_event.attributes[key])

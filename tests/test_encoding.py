@@ -1,6 +1,11 @@
 """Unit tests for the integer-encoded engine (``repro.core.encoding``)."""
 
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constraints import ConstraintSet
 from repro.core.dfg_candidates import dfg_candidates
@@ -12,7 +17,7 @@ from repro.core.encoding import (
     CompiledInstanceIndex,
     CompiledLog,
 )
-from repro.core.instances import InstanceIndex, instances_in_log
+from repro.core.instances import POLICIES, InstanceIndex, instances_in_log
 from repro.eventlog.dfg import compute_dfg
 from repro.eventlog.events import EventLog, Trace, log_from_variants
 from repro.exceptions import EventLogError, GroupingError
@@ -123,6 +128,18 @@ class TestCompiledInstanceIndex:
                 running_log, group
             )
 
+    def test_summaries_are_arrays_and_accessors_python_ints(self, running_log):
+        index = CompiledInstanceIndex(running_log)
+        group = frozenset({"ckc", "ckt", "rcp"})
+        stats = index.stats(group)
+        for name in ("trace_ids", "firsts", "lasts", "counts", "distincts"):
+            assert getattr(stats, name).dtype.name == "int64"
+        assert stats.cohesion.dtype.name == "float64"
+        pairs = index.positions(group)
+        assert {type(trace) for trace, _ in pairs} == {int}
+        assert {type(p) for _, positions in pairs for p in positions} == {int}
+        assert {type(d) for d in index.distinct_counts(group)} == {int}
+
 
 class TestCompiledDistance:
     def test_requires_compiled_index(self, running_log):
@@ -151,6 +168,78 @@ class TestCompiledDistance:
         assert compiled.group_distance({"a", "b"}) == DistanceFunction(
             log
         ).group_distance({"a", "b"})
+
+
+def _sequential_total(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+#: ``np.sum`` adds this pairwise (eight partial sums): each partial sum
+#: keeps its 2**-53 terms, while the left-to-right loop rounds every one
+#: of them away against 1.0.
+PAIRWISE_DIFFERS = [1.0] + [2.0**-53] * 15
+
+
+class TestEq1Accumulation:
+    def test_pinned_vector_separates_sum_from_accumulate(self):
+        import numpy as np
+
+        values = np.array(PAIRWISE_DIFFERS)
+        assert float(np.add.accumulate(values)[-1]) == _sequential_total(
+            PAIRWISE_DIFFERS
+        )
+        assert float(np.sum(values)) != _sequential_total(PAIRWISE_DIFFERS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(
+                min_value=0.0, max_value=1e6, allow_nan=False, allow_subnormal=True
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_accumulate_is_the_left_to_right_loop(self, values):
+        import numpy as np
+
+        accumulated = float(np.add.accumulate(np.array(values))[-1])
+        expected = _sequential_total(values)
+        assert accumulated.hex() == expected.hex()
+
+    @pytest.fixture(scope="class")
+    def long_log(self):
+        from repro.datasets.playout import playout
+        from repro.datasets.process_tree import TreeSpec, random_tree
+
+        tree = random_tree(TreeSpec(num_activities=5), seed=7)
+        return playout(tree, 1100, seed=7)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_bitwise_equal_on_large_groups(self, long_log, policy):
+        compiled_index = CompiledInstanceIndex(long_log, policy=policy)
+        compiled = CompiledDistanceFunction(long_log, compiled_index)
+        reference = DistanceFunction(
+            long_log, InstanceIndex(long_log, policy=policy)
+        )
+        classes = sorted(long_log.classes)
+        groups = [
+            frozenset(combo)
+            for size in (1, 2, 3)
+            for combo in itertools.combinations(classes, size)
+        ]
+        compiled.prime(groups)
+        large = [g for g in groups if compiled_index.count(g) >= 1000]
+        assert len(large) >= 10
+        for group in large:
+            value = compiled.group_distance(group)
+            assert math.isfinite(value)
+            assert value.hex() == reference.group_distance(group).hex(), sorted(
+                group
+            )
 
 
 class TestCompiledDfgOps:

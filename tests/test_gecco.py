@@ -123,6 +123,28 @@ class TestInfeasibility:
         assert result.infeasibility is not None
         assert result.infeasibility.uncovered_classes
 
+    @pytest.mark.parametrize("engine", ["compiled", "python"])
+    def test_timings_include_diagnosis(self, running_log, impossible, engine):
+        result = Gecco(impossible, GeccoConfig(engine=engine)).abstract(
+            running_log
+        )
+        timings = result.timings
+        assert timings.diagnosis > 0.0
+        assert timings.abstraction == 0.0
+        assert timings.total == (
+            timings.candidates
+            + timings.exclusive
+            + timings.selection
+            + timings.diagnosis
+        )
+
+    def test_feasible_problem_spends_nothing_on_diagnosis(
+        self, running_log, role_constraints
+    ):
+        result = Gecco(role_constraints).abstract(running_log)
+        assert result.feasible
+        assert result.timings.diagnosis == 0.0
+
     def test_raise_on_infeasible(self, running_log, impossible):
         gecco = Gecco(impossible, GeccoConfig(raise_on_infeasible=True))
         with pytest.raises(InfeasibleProblemError) as excinfo:

@@ -19,7 +19,7 @@ import urllib.request
 
 import pytest
 
-from repro.constraints import ConstraintSet, MaxGroupSize
+from repro.constraints import ConstraintSet, MaxGroups, MaxGroupSize
 from repro.obs import (
     TRACE_EVENTS,
     TRACE_SCHEMA,
@@ -340,6 +340,21 @@ class TestTracingIsObservational:
         assert result_signature(traced) == result_signature(plain)
         events = read_trace(trace)
         assert {"submitted", "solve", "done"} <= {e["event"] for e in events}
+
+    def test_solve_event_carries_diagnosis_time(self, tmp_path):
+        # One group of at most two classes cannot cover eight classes.
+        job = AbstractionJob(
+            log=LogRef.builtin("running_example"),
+            constraints=ConstraintSet([MaxGroups(1), MaxGroupSize(2)]),
+        )
+        trace = tmp_path / "trace.jsonl"
+        with TraceWriter(trace) as tracer:
+            result = SequentialExecutor(tracer=tracer).submit(job).result()
+        assert not result.feasible
+        (solve,) = [e for e in read_trace(trace) if e["event"] == "solve"]
+        assert solve["timings"]["diagnosis"] == result.timings.diagnosis > 0.0
+        latency = analyze_trace([trace])["latency"]
+        assert latency["solve_diagnosis"]["count"] == 1
 
     def test_batch_rows_identical_with_trace(self, tmp_path):
         manifest = tmp_path / "jobs.jsonl"

@@ -135,6 +135,18 @@ class TestDiskStore:
         assert {"hits", "misses", "stores", "evictions"} <= set(snap["results"])
         assert {"hits", "misses", "stores", "evictions"} <= set(snap["selection"])
 
+    def test_resident_bytes_count_the_instance_index(self):
+        cache = ArtifactCache()
+        run_job(job_for(3, "loan:10"), cache)
+        run_job(job_for(5, "loan:10"), cache)
+        (bundle,) = cache._artifacts.values()
+        compiled = bundle.compiled.nbytes
+        index = bundle.instance_index.nbytes
+        snap = cache.snapshot()
+        assert snap["resident_artifact_bytes"] == compiled + index
+        assert snap["resident_artifact_bytes"] > compiled
+        assert index > 0
+
 
 class TestSelectionTier:
     def test_miss_store_hit(self):

@@ -143,6 +143,15 @@ class TestJsonRoundTrip:
         clone = result_from_dict(result_to_dict(running_result))
         assert clone.exclusive_stats == stats
 
+    def test_rows_without_diagnosis_timing_still_load(self, infeasible_result):
+        """Rows written before ``StepTimings.diagnosis`` load it as 0.0."""
+        data = result_to_dict(infeasible_result)
+        assert data["timings"]["diagnosis"] > 0.0
+        del data["timings"]["diagnosis"]
+        clone = result_from_dict(data)
+        assert clone.timings.diagnosis == 0.0
+        assert result_signature(clone) == result_signature(infeasible_result)
+
     def test_rows_without_exclusive_stats_still_load(self, running_result):
         """Rows written before the field existed rebuild with ``None``."""
         data = result_to_dict(running_result)
