@@ -5,8 +5,9 @@ the last Step-1 hot path that still materializes
 :class:`~repro.eventlog.events.Event` lists: every ``holds`` evaluation
 walks each instance's events, reading attribute dicts one lookup at a
 time.  This module removes the object layer the same way
-:mod:`repro.core.encoding` did for instance detection — one compilation
-pass per (log, attribute key), then segment reductions over flat arrays:
+:mod:`repro.core.encoding` did for instance detection — one column per
+(log, attribute key), built by one comprehension over the log's flat
+list of attribute dicts, then segment reductions over flat arrays:
 
 * :class:`AttributeColumns` lazily builds, per attribute key, arrays
   aligned to the compiled log's CSR event buffer: a **numeric column**
@@ -47,7 +48,10 @@ falls back to the materialized-event path for that constraint only.
 
 from __future__ import annotations
 
+import sys
 from datetime import datetime, timezone
+from itertools import compress
+from operator import attrgetter
 
 import numpy as np
 
@@ -132,53 +136,63 @@ class AttributeColumns:
     Every accessor returns ``None`` when the column cannot represent
     the key faithfully (the caller then falls back to the
     materialized-event path); results — including failures — are
-    cached, so each key is compiled at most once.
+    cached, so each key is compiled at most once.  A column is one
+    comprehension over the flat list of attribute dicts (CSR event
+    order) and one numpy assignment.
     """
 
     def __init__(self, compiled):
         self.compiled = compiled
+        self._attributes = [event.attributes for event in compiled.events]
         self._numeric: dict[str, _NumericColumn | None] = {}
         self._presence: dict[str, np.ndarray] = {}
         self._codes: dict[str, _CodeColumn | None] = {}
         self._timestamps: _TimestampColumn | None | bool = False
 
-    def _events(self):
-        for trace in self.compiled.log:
-            yield from trace
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the columns built so far, each array once.
+
+        Lists count their pointer arrays only: the objects belong to the log.
+        """
+        arrays = [*self._presence.values()]
+        for column in filter(None, self._numeric.values()):
+            arrays += (column.values, column.mask)
+        for column in filter(None, self._codes.values()):
+            arrays += (column.codes, column.mask)
+        total = sys.getsizeof(self._attributes)
+        if self._timestamps:
+            arrays += (self._timestamps.us, self._timestamps.mask)
+            total += sys.getsizeof(self._timestamps.objects)
+        return total + sum({id(array): array.nbytes for array in arrays}.values())
 
     def numeric(self, key: str) -> _NumericColumn | None:
         """Numeric values of ``key`` (bools excluded, like the reference)."""
         if key not in self._numeric:
-            total = int(self.compiled.all_ids.size)
-            values = np.zeros(total, dtype=np.float64)
-            mask = np.zeros(total, dtype=bool)
-            column: _NumericColumn | None = _NumericColumn(values, mask)
+            values = [attrs.get(key) for attrs in self._attributes]
+            flags = [
+                isinstance(value, (int, float)) and not isinstance(value, bool)
+                for value in values
+            ]
             try:
-                for index, event in enumerate(self._events()):
-                    value = event.attributes.get(key)
-                    if isinstance(value, bool) or not isinstance(
-                        value, (int, float)
-                    ):
-                        continue
-                    values[index] = float(value)
-                    mask[index] = True
+                numbers = list(map(float, compress(values, flags)))
             except (OverflowError, ValueError):
                 # An int outside float range: the reference raises when
                 # (and only when) the carrying group is actually checked
                 # — keep that behavior by refusing to compile the key.
-                column = None
-            self._numeric[key] = column
+                self._numeric[key] = None
+            else:
+                mask = np.array(flags, dtype=bool)
+                column = _NumericColumn(np.zeros(mask.size), mask)
+                column.values[mask] = numbers
+                self._numeric[key] = column
         return self._numeric[key]
 
     def presence(self, key: str) -> np.ndarray:
         """Boolean carrier mask of ``key`` (any value type)."""
         column = self._presence.get(key)
         if column is None:
-            total = int(self.compiled.all_ids.size)
-            column = np.zeros(total, dtype=bool)
-            for index, event in enumerate(self._events()):
-                if key in event.attributes:
-                    column[index] = True
+            column = np.array([key in attrs for attrs in self._attributes], dtype=bool)
             self._presence[key] = column
         return column
 
@@ -191,63 +205,55 @@ class AttributeColumns:
         1.0``).  Unhashable values make the column unavailable.
         """
         if key not in self._codes:
-            total = int(self.compiled.all_ids.size)
-            codes = np.zeros(total, dtype=np.int64)
-            mask = np.zeros(total, dtype=bool)
             interned: dict = {}
-            column: _CodeColumn | None
             try:
-                for index, event in enumerate(self._events()):
-                    if key not in event.attributes:
-                        continue
-                    value = event.attributes[key]
-                    code = interned.setdefault(value, len(interned))
-                    codes[index] = code
-                    mask[index] = True
-                column = _CodeColumn(codes, mask, len(interned))
+                codes = [
+                    interned.setdefault(attrs[key], len(interned))
+                    for attrs in self._attributes
+                    if key in attrs
+                ]
             except TypeError:
-                column = None
-            self._codes[key] = column
+                self._codes[key] = None
+            else:
+                mask = self.presence(key)
+                column = _CodeColumn(np.zeros(mask.size, np.int64), mask, len(interned))
+                column.codes[mask] = codes
+                self._codes[key] = column
         return self._codes[key]
 
     def timestamps(self) -> _TimestampColumn | None:
         """The log's timestamps as exact integer microseconds.
 
         ``(a - b).total_seconds()`` in CPython divides the delta's
-        integer microseconds by ``10**6``; encoding each stamp as
-        integer microseconds since a fixed epoch reproduces that
-        division bitwise.  A log mixing naive and aware datetimes has
-        no common epoch — the column reports unavailable and duration
-        constraints / Step-3 stamps fall back to the reference path.
+        integer microseconds, ``(days * 86400 + seconds) * 10**6 +
+        microseconds``, by ``10**6``; encoding each stamp as that integer
+        since a fixed epoch reproduces the division bitwise.  A log
+        mixing naive and aware datetimes has no common epoch — the
+        column reports unavailable and duration constraints / Step-3
+        stamps fall back to the reference path.
         """
         if self._timestamps is False:
-            total = int(self.compiled.all_ids.size)
-            us = np.zeros(total, dtype=np.int64)
-            mask = np.zeros(total, dtype=bool)
-            objects: list = [None] * total
-            epoch = None
-            foreign = False
-            column: _TimestampColumn | None = None
-            for index, event in enumerate(self._events()):
-                value = event.attributes.get(TIMESTAMP_KEY)
-                if not isinstance(value, datetime):
-                    if value is not None:
-                        foreign = True
-                    continue
-                aware = value.tzinfo is not None
-                if epoch is None:
-                    epoch = _EPOCH_AWARE if aware else _EPOCH_NAIVE
-                elif aware != (epoch is _EPOCH_AWARE):
-                    break  # mixed naive/aware: no common timeline
-                delta = value - epoch
-                us[index] = (
-                    delta.days * 86400 + delta.seconds
-                ) * 10**6 + delta.microseconds
-                mask[index] = True
-                objects[index] = value
+            values = [attrs.get(TIMESTAMP_KEY) for attrs in self._attributes]
+            if set(map(type, values)) == {datetime}:  # the common case
+                objects = stamps = values
+                mask, foreign = np.ones(len(values), dtype=bool), False
             else:
-                column = _TimestampColumn(us, mask, objects, foreign)
-            self._timestamps = column
+                objects = [v if isinstance(v, datetime) else None for v in values]
+                stamps = [v for v in objects if v is not None]
+                mask = np.array([v is not None for v in objects], dtype=bool)
+                foreign = len(stamps) < sum(v is not None for v in values)
+            zones = set(map(attrgetter("tzinfo"), stamps))
+            self._timestamps = None
+            if None not in zones or len(zones) == 1:  # one awareness for all
+                epoch = _EPOCH_NAIVE if None in zones else _EPOCH_AWARE
+                deltas = [value - epoch for value in stamps]
+                days, seconds, micros = (
+                    np.fromiter(map(attrgetter(name), deltas), np.int64, len(deltas))
+                    for name in ("days", "seconds", "microseconds")
+                )
+                us = np.zeros(mask.size, dtype=np.int64)
+                us[mask] = (days * 86400 + seconds) * 10**6 + micros
+                self._timestamps = _TimestampColumn(us, mask, objects, foreign)
         return self._timestamps
 
 

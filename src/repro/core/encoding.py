@@ -14,7 +14,9 @@ the hot path once per log:
   class IDs (one concatenated CSR-style buffer for the whole log).
   Groups become **integer bitmasks over class IDs** and trace sets
   become **integer bitmasks over trace indices** (a bitset posting
-  list per class), so ``occurs`` is a single ``&``.
+  list per class), so ``occurs`` is a single ``&``.  Compiling walks
+  the events once; the tables, bitsets, DFG and attribute columns are
+  array work on that one flat list.
 * :meth:`CompiledLog.stats_batch` detects the instances of *many*
   groups in one vectorized sweep: a boolean class-membership matrix is
   indexed with the log's class-ID buffer, a single ``np.nonzero``
@@ -48,7 +50,7 @@ engine when it is missing.
 
 from __future__ import annotations
 
-from collections import Counter
+import sys
 from collections.abc import Iterable, Sequence
 
 from repro.core.distance import DistanceFunction
@@ -90,11 +92,11 @@ class GroupInstances:
     Parallel int64 arrays describe the instances in reference order
     (ascending trace, then position): the owning trace index
     (``trace_ids``), the first and last position within the trace, the
-    event count, and the number of distinct classes; ``cohesion`` holds
-    each instance's float64 Eq. 1 cohesion term.  ``positions`` holds
-    the group's flat event positions and ``hit_ids`` their global
-    event indexes (into ``CompiledLog.all_ids``); consecutive
-    ``counts`` slices of either are the instances.  All of them are
+    event count, the first hit (``starts``), the number of distinct
+    classes; ``cohesion`` holds each instance's float64 Eq. 1 cohesion
+    term.  ``positions`` holds the group's flat event positions and
+    ``hit_ids`` their global event indexes (into ``CompiledLog.all_ids``);
+    ``starts``/``counts`` slices of either are the instances.  All are
     views into the arrays of the detection sweep that produced them.
     The reference-format accessors :meth:`pairs` and
     :meth:`distinct_list` build Python lists lazily.
@@ -105,12 +107,13 @@ class GroupInstances:
         "firsts",
         "lasts",
         "counts",
+        "starts",
         "distincts",
         "cohesion",
         "positions",
         "hit_ids",
     )
-    __slots__ = ARRAYS + ("_pairs", "_segments")
+    __slots__ = ARRAYS + ("_pairs",)
 
     def __init__(
         self,
@@ -118,6 +121,7 @@ class GroupInstances:
         firsts,
         lasts,
         counts,
+        starts,
         distincts,
         cohesion,
         positions,
@@ -127,30 +131,25 @@ class GroupInstances:
         self.firsts = firsts
         self.lasts = lasts
         self.counts = counts
+        self.starts = starts
         self.distincts = distincts
         #: Eq. 1 cohesion term ``interrupts(ξ)/|ξ|`` per instance.
         self.cohesion = cohesion
         self.positions = positions
         self.hit_ids = hit_ids
         self._pairs: list[tuple[int, list[int]]] | None = None
-        self._segments = None
 
     def __len__(self) -> int:
         return len(self.counts)
 
     def segments(self):
-        """Instance segmentation over the flat hit list (cached).
+        """Instance segmentation over the flat hit list.
 
         Returns ``(starts, counts)`` as int64 arrays: hits
         ``starts[i] : starts[i] + counts[i]`` of :attr:`hit_ids` are
         instance ``i``.
         """
-        if self._segments is None:
-            counts = self.counts
-            starts = np.zeros(counts.size, dtype=np.int64)
-            np.cumsum(counts[:-1], out=starts[1:])
-            self._segments = (starts, counts)
-        return self._segments
+        return self.starts, self.counts
 
     def pairs(self) -> list[tuple[int, list[int]]]:
         """The instances as ``(trace index, positions)``, reference format."""
@@ -175,17 +174,35 @@ class GroupInstances:
 def _empty_instances() -> GroupInstances:
     ints = np.zeros(0, dtype=np.int64)
     return GroupInstances(
-        ints, ints, ints, ints, ints, np.zeros(0), ints, ints
+        ints, ints, ints, ints, ints, ints, np.zeros(0), ints, ints
     )
 
 
 _EMPTY_INSTANCES = _empty_instances() if HAVE_NUMPY else None
 
 
+def _buffer_bytes(arrays) -> int:
+    """Bytes of the distinct buffers under ``arrays`` (views resolved)."""
+    buffers = {}
+    for array in arrays:
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        buffers[id(array)] = array.nbytes
+    return sum(buffers.values())
+
+
+def _first_seen_counts(keys, name) -> dict:
+    """``{name(key): count}`` over ``keys``, in order of first occurrence."""
+    unique, firsts, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(firsts)
+    return dict(zip(map(name, unique[order].tolist()), counts[order].tolist()))
+
+
 class CompiledLog:
     """An event log compiled to integer arrays and bitmask indexes.
 
-    The compilation is a one-time pass over the log; afterwards no hot
+    The compilation is one walk over the events, into :attr:`events`;
+    tables, bitsets, DFG and columns are array work.  Afterwards no hot
     path touches :class:`~repro.eventlog.events.Event` objects.  Event
     classes are interned in sorted order so IDs — and therefore group
     bitmasks — are deterministic for a given log.
@@ -201,32 +218,17 @@ class CompiledLog:
         self.num_classes = len(self.classes)
         self.num_traces = len(log)
 
-        lengths = np.zeros(self.num_traces, dtype=np.int64)
-        chunks: list = []
-        repeat_flags: list[bool] = []
-        class_trace_bits = [0] * self.num_classes
+        #: Every event in CSR order (``all_ids`` order): the one walk.
+        self.events = [event for trace in log.traces for event in trace]
+        total_events = len(self.events)
+        lengths = np.fromiter(map(len, log.traces), np.int64, self.num_traces)
         to_id = self.class_to_id
-        for trace_index, trace in enumerate(log):
-            ids = [to_id[event.event_class] for event in trace]
-            lengths[trace_index] = len(ids)
-            chunks.append(np.asarray(ids, dtype=np.int64))
-            distinct = set(ids)
-            if len(distinct) == len(ids):
-                repeat_flags.extend([False] * len(ids))
-            else:
-                occurrences = Counter(ids)
-                repeat_flags.extend(occurrences[cid] > 1 for cid in ids)
-            trace_bit = 1 << trace_index
-            for class_id in distinct:
-                class_trace_bits[class_id] |= trace_bit
-
+        self.all_ids = np.fromiter(
+            (to_id[event.event_class] for event in self.events), np.int64, total_events
+        )
         #: ``offsets[t]:offsets[t+1]`` slices trace ``t`` out of ``all_ids``.
         self.offsets = np.zeros(self.num_traces + 1, dtype=np.int64)
         np.cumsum(lengths, out=self.offsets[1:])
-        self.all_ids = (
-            np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-        )
-        total_events = int(self.all_ids.size)
         # Per-event lookup tables shared by every extraction sweep.
         self._trace_of_event = np.repeat(
             np.arange(self.num_traces, dtype=np.int64), lengths
@@ -234,21 +236,34 @@ class CompiledLog:
         self._local_of_event = np.arange(total_events, dtype=np.int64) - np.repeat(
             self.offsets[:-1], lengths
         )
+        # Sorted (class, trace) keys: equal neighbours are one class
+        # recurring in one trace.
+        width = max(self.num_traces, 1)
+        keys = self.all_ids * width + self._trace_of_event
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        same = np.flatnonzero(keys[1:] == keys[:-1])
         #: True where the event's class occurs more than once in its trace
         #: (only such events can trigger instance splits / duplicates).
-        self._event_repeats = np.asarray(repeat_flags, dtype=bool)
-        self._row_bounds = np.arange(_BATCH_GROUPS + 1, dtype=np.int64)
+        self._event_repeats = np.zeros(total_events, dtype=bool)
+        self._event_repeats[order[same]] = self._event_repeats[order[same + 1]] = True
+        classes, traces = np.divmod(np.delete(keys, same + 1), width)
+        packed = np.zeros((self.num_classes, (self.num_traces + 7) // 8), np.uint8)
+        bits = (1 << (traces & 7)).astype(np.uint8)
+        np.bitwise_or.at(packed, (classes, traces >> 3), bits)
         #: Per-class bitset posting list: bit ``t`` set iff trace ``t``
         #: contains the class.
-        self.class_trace_bits: list[int] = class_trace_bits
+        self.class_trace_bits = [int.from_bytes(row, "little") for row in packed]
+        self._row_bounds = np.arange(_BATCH_GROUPS + 1, dtype=np.int64)
         self._all_traces_mask = (1 << self.num_traces) - 1
         # Group-mask -> trace-bitset cache for the incremental ``occurs``
         # path; seeded with the singleton posting lists.
         self._cooccur: dict[int, int] = {
-            1 << class_id: bits for class_id, bits in enumerate(class_trace_bits)
+            1 << class_id: bits for class_id, bits in enumerate(self.class_trace_bits)
         }
         self._mask_cache: dict[frozenset[str], int] = {}
         self._columns = None
+        self._dfg: DirectlyFollowsGraph | None = None
 
     def columns(self):
         """The log's per-event attribute columns (lazily built, cached).
@@ -263,6 +278,26 @@ class CompiledLog:
 
             self._columns = AttributeColumns(self)
         return self._columns
+
+    def dfg(self) -> DirectlyFollowsGraph:
+        """The log's DFG from the class-ID arrays (cached); equal to
+        :func:`~repro.eventlog.dfg.compute_dfg`, dict order included."""
+        if self._dfg is None:
+            ids, width, name = self.all_ids, self.num_classes, self.classes
+            # Pair (i, i + 1) lies within a trace iff event i + 1 starts none.
+            pairs = np.flatnonzero(self._local_of_event[1:] != 0)
+            nonempty = self.offsets[1:] > self.offsets[:-1]
+            firsts, lasts = self.offsets[:-1][nonempty], self.offsets[1:][nonempty] - 1
+            self._dfg = DirectlyFollowsGraph(
+                nodes=self.log.classes,
+                edge_counts=_first_seen_counts(
+                    ids[pairs] * width + ids[pairs + 1],
+                    lambda key: (name[key // width], name[key % width]),
+                ),
+                start_counts=_first_seen_counts(ids[firsts], name.__getitem__),
+                end_counts=_first_seen_counts(ids[lasts], name.__getitem__),
+            )
+        return self._dfg
 
     # -- group <-> bitmask conversions -----------------------------------
 
@@ -296,7 +331,7 @@ class CompiledLog:
 
     @property
     def nbytes(self) -> int:
-        """Approximate footprint of the compiled arrays, in bytes.
+        """Bytes of the arrays, bitsets, event list and columns built so far.
 
         Part of ``resident_artifact_bytes`` in the service-layer
         artifact cache's snapshots (:mod:`repro.service.cache`), next to
@@ -315,6 +350,9 @@ class CompiledLog:
         total += sum(
             (bits.bit_length() + 7) // 8 for bits in self.class_trace_bits
         )
+        total += sys.getsizeof(self.events)
+        if self._columns is not None:
+            total += self._columns.nbytes
         return total
 
     # -- co-occurrence (the ``occurs`` predicate) -------------------------
@@ -421,21 +459,26 @@ class CompiledLog:
         hits whose class actually recurs within its trace (precomputed
         per event) ever need duplicate handling.
         """
+        return self._detect(groups, policy, gap_limit)[0]
+
+    def _detect(self, groups, policy, gap_limit):
+        """:meth:`stats_batch` plus the bytes of the arrays the summaries view."""
         if policy not in POLICIES:
             raise EventLogError(
                 f"unknown instance policy {policy!r}; use one of {POLICIES}"
             )
         results: list[GroupInstances] = [None] * len(groups)  # type: ignore[list-item]
         if not groups:
-            return results
+            return results, 0
         if self.num_classes == 0 or self.all_ids.size == 0:
-            return [_EMPTY_INSTANCES for _ in groups]
+            return [_EMPTY_INSTANCES for _ in groups], 0
+        nbytes = 0
         for start in range(0, len(groups), _BATCH_GROUPS):
             batch = groups[start : start + _BATCH_GROUPS]
-            self._extract_batch(batch, start, policy, gap_limit, results)
-        return results
+            nbytes += self._extract_batch(batch, start, policy, gap_limit, results)
+        return results, nbytes
 
-    def _extract_batch(self, batch, base, policy, gap_limit, results) -> None:
+    def _extract_batch(self, batch, base, policy, gap_limit, results) -> int:
         if self.num_classes <= 64:
             # Unpack the group bitmasks directly into the membership
             # matrix — no per-group python loop.
@@ -460,7 +503,7 @@ class CompiledLog:
         if total == 0:
             for row in range(len(batch)):
                 results[base + row] = _EMPTY_INSTANCES
-            return
+            return 0
         trace_of = self._trace_of_event[event_idx]
         local = self._local_of_event[event_idx]
 
@@ -519,8 +562,10 @@ class CompiledLog:
         inst_trace = trace_of[inst_starts]
 
         bounds = self._row_bounds[: len(batch) + 1]
-        hit_bounds = np.searchsorted(group_idx, bounds).tolist()
+        hit_bounds = np.searchsorted(group_idx, bounds)
         inst_bounds = np.searchsorted(inst_group, bounds).tolist()
+        starts = inst_starts - hit_bounds[inst_group]  # from the group's first hit
+        hit_bounds = hit_bounds.tolist()
         for row in range(len(batch)):
             i0, i1 = inst_bounds[row], inst_bounds[row + 1]
             if i0 == i1:
@@ -532,38 +577,52 @@ class CompiledLog:
                     firsts[i0:i1],
                     lasts[i0:i1],
                     counts[i0:i1],
+                    starts[i0:i1],
                     distincts[i0:i1],
                     cohesion[i0:i1],
                     local[h0:h1],
                     event_idx[h0:h1],
                 )
+        arrays = (inst_trace, firsts, lasts, counts, starts, distincts, cohesion)
+        return _buffer_bytes(arrays + (local, event_idx))
 
     def _repeat_boundaries(
         self, seg_change, repeat_candidates, has_repeats, event_idx
     ):
         """Boundary mask for the ``repeat`` policy.
 
-        Without recurring classes every segment is one instance.  Only
-        segments that contain a potentially recurring class need the
-        sequential seen-set walk (a new instance starts whenever a class
-        re-occurs within the current one) — and only those are walked.
+        A new instance starts whenever a class re-occurs within the
+        current one.  Only segments holding a recurring class are split:
+        a stable sort gives each hit's next same-class hit, whose reverse
+        running minimum is the first repeat at or after it (past the
+        segment: none); pointer jumps from each segment start, one vector
+        step per instance, mark the boundaries.
         """
         if not has_repeats:
             return seg_change
+        seg_bounds = np.append(np.flatnonzero(seg_change), seg_change.size)
+        flagged = np.flatnonzero(repeat_candidates)
+        dirty = np.unique(np.searchsorted(seg_bounds, flagged, "right")) - 1
+        starts = seg_bounds[dirty]
+        lengths = seg_bounds[dirty + 1] - starts
+        # The dirty segments' hits, renumbered 0..total-1.
+        local_starts = np.cumsum(lengths) - lengths
+        total = int(lengths.sum())
+        hits = np.repeat(starts - local_starts, lengths) + np.arange(total)
+        keys = np.repeat(np.arange(dirty.size) * self.num_classes, lengths)
+        keys += self.all_ids[event_idx[hits]]
+        order = np.argsort(keys, kind="stable")
+        same = np.flatnonzero(np.diff(keys[order]) == 0)
+        next_hit = np.full(total, total)
+        next_hit[order[same]] = order[same + 1]
+        first_repeat = np.minimum.accumulate(next_hit[::-1])[::-1]
         boundaries = seg_change.copy()
-        seg_index = np.cumsum(seg_change) - 1
-        seg_starts = np.flatnonzero(seg_change)
-        seg_ends = np.append(seg_starts[1:], seg_change.size)
-        dirty = np.unique(seg_index[repeat_candidates])
-        class_list = self.all_ids[event_idx].tolist()
-        for seg in dirty.tolist():
-            seen = 0
-            for hit in range(int(seg_starts[seg]), int(seg_ends[seg])):
-                bit = 1 << class_list[hit]
-                if seen & bit:
-                    boundaries[hit] = True
-                    seen = 0
-                seen |= bit
+        current, ends = local_starts, local_starts + lengths
+        while current.size:
+            current = first_repeat[current]
+            live = current < ends
+            current, ends = current[live], ends[live]
+            boundaries[hits[current]] = True
         return boundaries
 
     def _duplicates_per_instance(
@@ -626,16 +685,15 @@ class CompiledInstanceIndex(InstanceIndex):
             raise GroupingError("compiled log was built for a different log")
         self.compiled = compiled or CompiledLog(log)
         self._stats_cache: dict[frozenset[str], GroupInstances] = {}
+        self._nbytes = 0
 
     def stats(self, group: frozenset[str]) -> GroupInstances:
         """The group's instance summary (cached)."""
         group = frozenset(group)
         cached = self._stats_cache.get(group)
         if cached is None:
-            cached = self.compiled.stats_batch(
-                [group], self.policy, self.gap_limit
-            )[0]
-            self._stats_cache[group] = cached
+            self.prime([group])
+            cached = self._stats_cache[group]
         return cached
 
     def prime(self, groups: Sequence[frozenset[str]]) -> None:
@@ -643,11 +701,12 @@ class CompiledInstanceIndex(InstanceIndex):
         missing = [group for group in groups if group not in self._stats_cache]
         if not missing:
             return
-        extracted = self.compiled.stats_batch(
+        extracted, nbytes = self.compiled._detect(
             missing, self.policy, self.gap_limit
         )
         for group, stats in zip(missing, extracted):
             self._stats_cache[group] = stats
+        self._nbytes += nbytes
 
     def positions(self, group: frozenset[str]) -> list[tuple[int, list[int]]]:
         return self.stats(group).pairs()
@@ -667,20 +726,11 @@ class CompiledInstanceIndex(InstanceIndex):
         """Bytes held by the cached instance summaries.
 
         A summary's arrays are views into the arrays of the detection
-        sweep that produced it, shared by every group of that sweep;
-        each underlying buffer (and each cached ``segments()`` array)
-        is counted once.  Lazily built reference lists are not counted.
+        sweep that produced it, shared by every group of that sweep; the
+        count grows by each sweep's buffers once, as its summaries are
+        cached.  Lazily built reference lists are not counted.
         """
-        buffers: dict[int, int] = {}
-        for stats in list(self._stats_cache.values()):
-            arrays = [getattr(stats, name) for name in GroupInstances.ARRAYS]
-            if stats._segments is not None:
-                arrays.append(stats._segments[0])
-            for array in arrays:
-                while isinstance(array.base, np.ndarray):
-                    array = array.base
-                buffers[id(array)] = array.nbytes
-        return sum(buffers.values())
+        return self._nbytes
 
 
 def _eq1_from_stats(stats: GroupInstances, size: int) -> float:

@@ -262,7 +262,10 @@ class PipelineArtifacts:
 
 
 def prepare_artifacts(log: EventLog, config: "GeccoConfig") -> PipelineArtifacts:
-    """Build the shareable per-log artifacts for ``config``."""
+    """Build the shareable per-log artifacts for ``config``.
+
+    The compiled engine takes the DFG from :meth:`CompiledLog.dfg`.
+    """
     engine = resolve_engine(config.engine)
     if engine == "compiled":
         compiled = encoding.CompiledLog(log)
@@ -278,7 +281,7 @@ def prepare_artifacts(log: EventLog, config: "GeccoConfig") -> PipelineArtifacts
         log=log,
         compiled=compiled,
         instance_index=instance_index,
-        dfg=compute_dfg(log),
+        dfg=compute_dfg(log) if compiled is None else compiled.dfg(),
     )
 
 

@@ -178,8 +178,9 @@ class ArtifactCache:
     ----------
     max_artifacts:
         Artifact-tier capacity (per-log bundles are large: the compiled
-        arrays are ``CompiledLog.nbytes`` bytes, and the instance index
-        grows with use to many times that — keep this small).
+        log — arrays, flat event list and attribute columns — is
+        ``CompiledLog.nbytes`` bytes, and the instance index grows with
+        use to many times that — keep this small).
     max_results:
         Result-tier capacity.
     max_selections:
@@ -652,11 +653,13 @@ class ArtifactCache:
         """Plain-data counters for reports and benchmarks.
 
         ``resident_artifact_bytes`` sums, over resident bundles, the
-        compiled arrays (:attr:`~repro.core.encoding.CompiledLog.nbytes`)
-        and the instance summaries cached so far
-        (:attr:`~repro.core.encoding.CompiledInstanceIndex.nbytes`, by
-        far the larger part once jobs have run); DFGs and the
-        pure-Python engine's indexes are excluded.
+        compiled log (:attr:`~repro.core.encoding.CompiledLog.nbytes`:
+        its arrays, its flat event list and the attribute columns built
+        so far) and the instance summaries cached so far
+        (:attr:`~repro.core.encoding.CompiledInstanceIndex.nbytes`, a
+        running count, by far the larger part once jobs have run); DFGs,
+        the events themselves and the pure-Python engine's indexes are
+        excluded.  Neither count walks the cached summaries.
         """
         with self._lock:
             data = self.stats.as_dict()
