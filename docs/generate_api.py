@@ -63,7 +63,7 @@ API_SECTIONS: "list[tuple[str, list[tuple[str, str, str]]]]" = [
             ("repro.service.dist.broker", "connect_broker",
              "broker URL -> broker instance"),
             ("repro.service.dist.broker", "Broker",
-             "the broker contract all queue backends implement"),
+             "the broker contract (the fs queue; ChaosBroker proxies it)"),
             ("repro.service.dist.broker", "TaskEnvelope",
              "one queued unit of work"),
             ("repro.service.dist.worker", "worker_loop",

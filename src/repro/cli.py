@@ -691,8 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--broker",
-        help="dispatch through a distributed broker (fs:// or sqlite:// "
-        "URL); --workers then counts local fleet workers "
+        help="dispatch through a distributed broker (fs:// URL or "
+        "directory); --workers then counts local fleet workers "
         "(0 = external workers only)",
     )
     batch.add_argument(
@@ -744,8 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--broker",
-        help="dispatch through a distributed broker (fs:// or sqlite:// "
-        "URL) instead of the in-process pool",
+        help="dispatch through a distributed broker (fs:// URL or "
+        "directory) instead of the in-process pool",
     )
     serve.add_argument(
         "--max-load", type=int, default=None,
@@ -779,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--broker", required=True,
-        help="broker URL: fs:///shared/dir or sqlite:///path.db",
+        help="broker URL: fs:///shared/dir or a bare directory path",
     )
     worker.add_argument(
         "--cache-dir",
@@ -830,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--broker", required=True,
-        help="broker URL: fs:///shared/dir or sqlite:///path.db",
+        help="broker URL: fs:///shared/dir or a bare directory path",
     )
     fleet.add_argument(
         "--workers", type=int, default=2, help="supervised worker slots"

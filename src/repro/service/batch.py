@@ -147,7 +147,7 @@ def make_executor(
 
     Without a ``broker``: 1 worker means the deterministic
     :class:`SequentialExecutor`, more means a :class:`PoolExecutor`.
-    With a broker URL (``fs://``, ``sqlite://``): a
+    With a broker URL (``fs://`` or a bare directory path): a
     :class:`~repro.service.dist.executor.DistributedExecutor` that
     spawns ``workers`` local worker processes against the broker
     (``workers=0`` relies entirely on external ``repro worker``

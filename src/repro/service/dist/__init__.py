@@ -9,10 +9,8 @@ processes and hosts.  The pieces:
   durable queues with atomic claims, leases + heartbeats,
   visibility-timeout requeue of dead workers' tasks, quarantine for
   poisonous entries, and cache-affinity routing;
-* :mod:`~repro.service.dist.fsbroker` /
-  :mod:`~repro.service.dist.sqlitebroker` — two zero-dependency broker
-  implementations (shared directory with atomic renames; one SQLite
-  WAL file with row locks);
+* :mod:`~repro.service.dist.fsbroker` — one zero-dependency broker
+  implementation (a shared directory with atomic renames);
 * :mod:`~repro.service.dist.worker` — the ``repro worker --broker URL``
   claim-and-run loop;
 * :mod:`~repro.service.dist.chaos` — :class:`ChaosBroker`, a seedable
@@ -55,7 +53,6 @@ from repro.service.dist.chaos import (
 )
 from repro.service.dist.executor import DistributedExecutor, job_affinity_key
 from repro.service.dist.fsbroker import FilesystemBroker
-from repro.service.dist.sqlitebroker import SQLiteBroker
 from repro.service.dist.worker import (
     WorkerStats,
     default_worker_id,
@@ -73,7 +70,6 @@ __all__ = [
     "DiskFaultInjector",
     "DistributedExecutor",
     "FilesystemBroker",
-    "SQLiteBroker",
     "TaskEnvelope",
     "WorkerStats",
     "connect_broker",

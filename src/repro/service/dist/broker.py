@@ -23,12 +23,11 @@ content-addressed (identical inputs produce identical results, so a
 duplicate completion is a harmless overwrite) and ``complete`` reports
 staleness so duplicates can be counted.
 
-Two zero-dependency implementations ship in this package —
+One zero-dependency implementation ships in this package —
 :class:`~repro.service.dist.fsbroker.FilesystemBroker` (atomic-rename
-claims on a shared directory) and
-:class:`~repro.service.dist.sqlitebroker.SQLiteBroker` (row locks in
-one WAL database file).  :func:`connect_broker` maps broker URLs
-(``fs://…``, ``sqlite://…``, or a bare directory path) to instances.
+claims on a shared directory).  :func:`connect_broker` maps broker
+URLs (``fs://…`` or a bare directory path) to instances, and
+:func:`broker_directory` resolves the directory such a URL names.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from __future__ import annotations
 import pickle
 import uuid
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.exceptions import ReproError
 
@@ -272,35 +272,34 @@ class Broker:
         self.close()
 
 
+def broker_directory(url: "str | Path") -> Path:
+    """Resolve a broker URL to the queue directory it names.
+
+    ``fs:///shared/dir`` and a bare path name that directory; ``fs://``
+    without one, and every other scheme, raise
+    :class:`~repro.exceptions.ReproError`.  :func:`connect_broker` and
+    ``repro fsck`` both resolve URLs here.
+    """
+    text = str(url)
+    if "://" in text and not text.startswith("fs://"):
+        raise ReproError(
+            f"unknown broker URL scheme {text.split('://', 1)[0]!r} (use fs://)"
+        )
+    path = text[len("fs://"):] if text.startswith("fs://") else text
+    if not path:
+        raise ReproError("fs broker URL needs a directory: fs:///shared/dir")
+    return Path(path)
+
+
 def connect_broker(url: str) -> Broker:
     """Open the broker a URL names.
 
-    Accepted forms:
-
-    * ``fs:///shared/dir`` or a bare directory path — the
-      zero-dependency filesystem queue (any shared POSIX directory:
-      local disk for same-host fleets, NFS for multi-host);
-    * ``sqlite:///path/to/queue.db`` — the zero-dependency SQLite
-      queue (one WAL database file; same-host fleets only — WAL's
-      shared-memory index does not work across machines).
-
-    Any other scheme raises :class:`~repro.exceptions.ReproError`.
+    The one accepted form is ``fs:///shared/dir`` or a bare directory
+    path: the zero-dependency filesystem queue on any shared POSIX
+    directory (local disk for same-host fleets, NFS for multi-host).
+    Any other scheme raises :class:`~repro.exceptions.ReproError`
+    (see :func:`broker_directory`).
     """
-    if url.startswith("sqlite://"):
-        from repro.service.dist.sqlitebroker import SQLiteBroker
-
-        path = url[len("sqlite://"):]
-        if not path:
-            raise ReproError("sqlite broker URL needs a path: sqlite:///dir/queue.db")
-        return SQLiteBroker(path, url=url)
-    if "://" in url and not url.startswith("fs://"):
-        raise ReproError(
-            f"unknown broker URL scheme {url.split('://', 1)[0]!r} "
-            "(use fs:// or sqlite://)"
-        )
     from repro.service.dist.fsbroker import FilesystemBroker
 
-    path = url[len("fs://"):] if url.startswith("fs://") else url
-    if not path:
-        raise ReproError("fs broker URL needs a directory: fs:///shared/dir")
-    return FilesystemBroker(path, url=url)
+    return FilesystemBroker(broker_directory(url), url=url)

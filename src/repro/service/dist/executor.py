@@ -70,7 +70,7 @@ class DistributedExecutor(_DispatchCore):
     Parameters
     ----------
     broker:
-        A broker URL (``fs:///shared/dir``, ``sqlite:///path.db``) or a
+        A broker URL (``fs:///shared/dir`` or a bare path) or a
         connected :class:`~repro.service.dist.broker.Broker` instance.
     workers:
         Local worker processes to spawn against the broker (0 = rely

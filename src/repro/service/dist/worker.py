@@ -234,7 +234,7 @@ def worker_loop(
     Parameters
     ----------
     broker:
-        A broker instance or URL (``fs://`` or ``sqlite://``).
+        A broker instance or URL (``fs://`` or a bare directory path).
     cache / cache_dir:
         The worker-local artifact cache, or the shared on-disk store
         directory to back a fresh one with (the fleet's result tier).
@@ -359,10 +359,10 @@ def worker_loop(
                     key="claim", on_retry=count_broker_error,
                 )
             except Exception:
-                # A transient broker hiccup (NFS stall, sqlite busy
-                # timeout, brief disk-full) must not kill the worker
-                # even past the retry budget: back off one poll
-                # interval and start a fresh claim round.
+                # A transient broker hiccup (NFS stall, brief
+                # disk-full) must not kill the worker even past the
+                # retry budget: back off one poll interval and start
+                # a fresh claim round.
                 stats.broker_errors += 1
                 time.sleep(poll_interval)
                 continue

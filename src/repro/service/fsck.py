@@ -35,6 +35,7 @@ from repro.exceptions import ReproError
 from repro.experiments.persistence import read_json
 from repro.service.journal import (
     IntegrityError,
+    stale_tmp_files,
     sweep_stale_tmp,
     unframe_bytes,
     verify_seal,
@@ -84,7 +85,8 @@ def fsck_store(
     entry (``selection/<2ch>/<digest>.json``) is checksum-verified and
     re-parsed; failures move to ``quarantine/`` (suffixed ``.bad``) so
     the next put repairs the slot.  Stale ``*.tmp`` staging files are
-    deleted (``tmp_max_age=0`` means *all* of them — offline use only).
+    deleted (``tmp_max_age=0`` means *all* of them — offline use only);
+    with ``repair=False`` they are only listed.
     """
     from repro.service.cache import _selection_from_dict
     from repro.service.serialization import result_from_dict
@@ -122,22 +124,10 @@ def fsck_store(
     report["already_quarantined"] = sum(
         1 for _ in root.glob("quarantine/*.bad")
     )
-    report["tmp_removed"] = sweep_stale_tmp(root, max_age=tmp_max_age)
+    tidy = sweep_stale_tmp if repair else stale_tmp_files
+    report["tmp_removed"] = tidy(root, max_age=tmp_max_age)
     report["repaired"] = len(report["quarantined"]) if repair else 0
     return report
-
-
-def _broker_root(broker: "str | Path") -> Path:
-    """Resolve a broker URL or bare path to an fs-broker directory."""
-    text = str(broker)
-    if text.startswith("fs://"):
-        return Path(text[len("fs://"):])
-    if "://" in text:
-        raise ReproError(
-            f"repro fsck can only repair fs:// broker directories, not {text!r} "
-            "(the sqlite backend has its own integrity machinery)"
-        )
-    return Path(text)
 
 
 def fsck_broker(
@@ -162,12 +152,19 @@ def fsck_broker(
       dropped; unreadable lease files are dropped too;
     * ``affinity/`` — expired ownership leases are dropped;
     * ``tmp/`` — staging files are deleted.
+
+    With ``repair=False`` nothing is touched: each list names what a
+    repair would remove or quarantine.
+
+    ``broker`` is resolved by
+    :func:`~repro.service.dist.broker.broker_directory`, the rule
+    :func:`~repro.service.dist.broker.connect_broker` uses.
     """
-    from repro.service.dist.broker import encode_result
+    from repro.service.dist.broker import broker_directory, encode_result
     from repro.service.dist.fsbroker import _parse_entry_name
     from repro.service.journal import frame_bytes
 
-    root = _broker_root(broker)
+    root = broker_directory(broker)
     report: Dict[str, Any] = {
         "root": str(root),
         "present": (root / "queue").is_dir(),
@@ -304,7 +301,8 @@ def fsck_broker(
                 continue
         report["expired_affinities_removed"].append(rel)
 
-    report["tmp_removed"] = sweep_stale_tmp(
+    tidy = sweep_stale_tmp if repair else stale_tmp_files
+    report["tmp_removed"] = tidy(
         root / "tmp", max_age=tmp_max_age, patterns=("*.tmp",)
     )
     report["repaired"] = (

@@ -14,9 +14,9 @@ This module is the bottom layer of the durability subsystem:
 * :func:`frame_bytes` / :func:`unframe_bytes` — prefix / verify a
   sha256 frame on opaque byte payloads (used by the filesystem
   broker's queue entries and result files).
-* :func:`sweep_stale_tmp` — delete ``*.tmp`` staging files leaked by
-  killed writers (shared by the disk-store startup sweep and
-  ``repro fsck``).
+* :func:`stale_tmp_files` / :func:`sweep_stale_tmp` — list / delete
+  ``*.tmp`` staging files leaked by killed writers (shared by the
+  disk-store startup sweep and ``repro fsck``).
 
 Nothing here imports the rest of the service layer, so the cache,
 broker, and batch modules can all depend on it without cycles.
@@ -138,27 +138,27 @@ def unframe_bytes(data: bytes) -> bytes:
     return body
 
 
-def sweep_stale_tmp(
+def stale_tmp_files(
     root: Path,
     *,
     max_age: float = 300.0,
     patterns: Iterable[str] = ("*.tmp", "*/*.tmp", "*/*/*.tmp"),
 ) -> List[str]:
-    """Delete ``*.tmp`` staging files under *root* older than *max_age*.
+    """List ``*.tmp`` staging files under *root* older than *max_age*.
 
     Atomic writers stage into ``<name><random>.tmp`` siblings and
     ``os.replace`` into place; a writer killed between the two leaks
     the staging file forever.  The age threshold keeps a concurrently
-    *live* writer's staging file safe — pass ``max_age=0`` only from
-    an offline tool like ``repro fsck``.
+    *live* writer's staging file out of the list — pass ``max_age=0``
+    only from an offline tool like ``repro fsck``.
 
-    Returns the (relative) paths removed.
+    Returns the (relative) paths, sorted; nothing is touched.
     """
 
     root = Path(root)
     if not root.is_dir():
         return []
-    removed: List[str] = []
+    stale: List[str] = []
     cutoff = time.time() - max_age
     for pattern in patterns:
         for path in root.glob(pattern):
@@ -167,11 +167,31 @@ def sweep_stale_tmp(
                     continue
                 if max_age > 0 and path.stat().st_mtime > cutoff:
                     continue
-                path.unlink()
-                removed.append(str(path.relative_to(root)))
             except OSError:
                 continue
-    return sorted(removed)
+            stale.append(str(path.relative_to(root)))
+    return sorted(stale)
+
+
+def sweep_stale_tmp(
+    root: Path,
+    *,
+    max_age: float = 300.0,
+    patterns: Iterable[str] = ("*.tmp", "*/*.tmp", "*/*/*.tmp"),
+) -> List[str]:
+    """Delete the staging files :func:`stale_tmp_files` lists.
+
+    Returns the (relative) paths removed, sorted.
+    """
+
+    removed: List[str] = []
+    for rel in stale_tmp_files(root, max_age=max_age, patterns=patterns):
+        try:
+            (Path(root) / rel).unlink()
+        except OSError:
+            continue
+        removed.append(rel)
+    return removed
 
 
 def manifest_digest(jobs: Iterable[Tuple[str, str]]) -> str:

@@ -100,8 +100,8 @@ class FleetSupervisor:
     Parameters
     ----------
     broker_url:
-        The broker every worker connects to (``fs://`` or
-        ``sqlite://``).
+        The broker every worker connects to (``fs://`` or a bare
+        directory path).
     workers:
         Number of supervised slots.
     cache_dir / lease / poll_interval / trace / trace_rotate_mb:

@@ -54,10 +54,8 @@ def _jobs():
     ]
 
 
-def _broker_url(kind, tmp_path):
-    if kind == "fs":
-        return f"fs://{tmp_path / 'queue'}"
-    return f"sqlite://{tmp_path / 'queue.db'}"
+def _broker_url(tmp_path):
+    return f"fs://{tmp_path / 'queue'}"
 
 
 #: The adversarial (but recoverable) schedule the identity drill runs.
@@ -72,7 +70,8 @@ _DRILL = dict(
 
 
 class TestSeededSchedules:
-    @pytest.mark.parametrize("broker_kind", ["fs", "sqlite"])
+    # ``broker_kind`` only labels the backend under test in the ids.
+    @pytest.mark.parametrize("broker_kind", ["fs"])
     @pytest.mark.parametrize("seed", [11, 23, 37])
     def test_byte_identity_and_exactly_once_under_chaos(
         self, tmp_path, broker_kind, seed
@@ -82,7 +81,7 @@ class TestSeededSchedules:
             job.job_id: result_signature(SequentialExecutor().submit(job).result())
             for job in jobs
         }
-        inner = connect_broker(_broker_url(broker_kind, tmp_path))
+        inner = connect_broker(_broker_url(tmp_path))
         broker = ChaosBroker(inner, ChaosConfig(seed=seed, **_DRILL))
         executor = DistributedExecutor(
             broker, workers=0, lease=5.0, poll_interval=0.02
@@ -154,7 +153,7 @@ class TestCorruptPayloads:
     def test_corrupt_first_delivery_is_released_then_completed_clean(
         self, tmp_path
     ):
-        inner = connect_broker(_broker_url("fs", tmp_path))
+        inner = connect_broker(_broker_url(tmp_path))
         broker = ChaosBroker(inner, ChaosConfig(seed=1, corrupt_claim_rate=1.0))
         task_id = new_task_id()
         broker.put(TaskEnvelope(
@@ -175,7 +174,7 @@ class TestCorruptPayloads:
         inner.close()
 
     def test_truly_poisonous_payload_quarantines_after_attempts(self, tmp_path):
-        broker = connect_broker(_broker_url("fs", tmp_path))
+        broker = connect_broker(_broker_url(tmp_path))
         task_id = new_task_id()
         broker.put(TaskEnvelope(task_id=task_id, kind="call",
                                 payload=b"\xffnot-a-pickle"))
@@ -192,9 +191,9 @@ class TestCorruptPayloads:
         assert record["ok"] is False and "quarantined" in record["error"]
         broker.close()
 
-    @pytest.mark.parametrize("broker_kind", ["fs", "sqlite"])
+    @pytest.mark.parametrize("broker_kind", ["fs"])
     def test_release_requeues_with_attempts_plus_one(self, tmp_path, broker_kind):
-        broker = connect_broker(_broker_url(broker_kind, tmp_path))
+        broker = connect_broker(_broker_url(tmp_path))
         broker.put(TaskEnvelope(task_id=new_task_id(), kind="call",
                                 payload=b"x"))
         claim = broker.claim("w1", lease=5.0)
@@ -209,7 +208,7 @@ class TestCorruptPayloads:
 
 class TestWorkerResilience:
     def test_claim_failures_are_retried_not_fatal(self, tmp_path):
-        inner = connect_broker(_broker_url("fs", tmp_path))
+        inner = connect_broker(_broker_url(tmp_path))
         broker = ChaosBroker(inner, ChaosConfig(seed=5, claim_failure_rate=1.0))
         stats_box = []
         thread = threading.Thread(
@@ -254,7 +253,7 @@ class TestWorkerResilience:
         assert len(errors) == 2
 
     def test_heartbeat_miss_counter_surfaces_in_worker_stats(self, tmp_path):
-        inner = connect_broker(_broker_url("fs", tmp_path))
+        inner = connect_broker(_broker_url(tmp_path))
         broker = ChaosBroker(inner, ChaosConfig(seed=9, heartbeat_drop_rate=1.0))
         broker.put(TaskEnvelope(
             task_id=new_task_id(), kind="call",
@@ -285,7 +284,7 @@ class TestChaosConfig:
     def test_any_faults_and_transparent_proxy(self, tmp_path):
         assert not ChaosConfig().any_faults()
         assert ChaosConfig(put_failure_rate=0.1).any_faults()
-        inner = connect_broker(_broker_url("fs", tmp_path))
+        inner = connect_broker(_broker_url(tmp_path))
         broker = ChaosBroker(inner)  # all-zero rates: pure delegation
         task_id = new_task_id()
         broker.put(TaskEnvelope(task_id=task_id, kind="call", payload=b"x"))

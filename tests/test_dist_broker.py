@@ -1,7 +1,7 @@
-"""Broker contract tests: the same suite over both zero-dep brokers.
+"""Broker contract tests over the zero-dependency filesystem broker.
 
 The distributed runtime's correctness rests on four broker
-guarantees exercised here per implementation:
+guarantees exercised here:
 
 * **exclusive claims** — two workers never both hold a live lease;
 * **exactly-once requeue** — a lease-expired task is redelivered once,
@@ -33,18 +33,15 @@ from repro.service.dist.broker import (
     new_task_id,
 )
 from repro.service.dist.fsbroker import FilesystemBroker
-from repro.service.dist.sqlitebroker import SQLiteBroker
 from repro.service.dist.worker import worker_loop
+from repro.service.fsck import fsck_report
 from repro.service.journal import frame_bytes
 
 
-@pytest.fixture(params=["fs", "sqlite"])
-def broker(request, tmp_path):
-    """One broker per zero-dependency backend, on a fresh directory."""
-    if request.param == "fs":
-        made = FilesystemBroker(tmp_path / "queue")
-    else:
-        made = SQLiteBroker(tmp_path / "queue.db")
+@pytest.fixture(params=["fs"])
+def broker(tmp_path):
+    """A filesystem broker on a fresh directory (``fs`` labels the ids)."""
+    made = FilesystemBroker(tmp_path / "queue")
     yield made
     made.close()
 
@@ -372,18 +369,6 @@ class TestResultHygiene:
         broker.requeue_expired()
         assert broker.stats()["results"] == 0
 
-    def test_orphaned_results_are_garbage_collected_sqlite(self, tmp_path):
-        broker = SQLiteBroker(tmp_path / "queue.db", result_ttl=0.05)
-        task = _task()
-        broker.put(task)
-        claim = broker.claim("w", lease=30.0)
-        broker.complete(claim, encode_result(value=1))
-        assert broker.stats()["results"] == 1
-        time.sleep(0.1)
-        broker.requeue_expired()
-        assert broker.stats()["results"] == 0
-        broker.close()
-
 
 class TestWorkerResilience:
     def test_transient_claim_errors_do_not_kill_the_loop(self, broker):
@@ -446,14 +431,35 @@ class TestConnectBroker:
             assert isinstance(made, FilesystemBroker)
             assert made.url == url
 
-    def test_sqlite_url(self, tmp_path):
-        made = connect_broker(f"sqlite://{tmp_path}/queue.db")
-        assert isinstance(made, SQLiteBroker)
-        made.close()
-
     @pytest.mark.parametrize(
-        "url", ["kafka://nope", "redis://localhost:6379/0"], ids=["kafka", "redis"]
+        "url",
+        ["kafka://nope", "redis://localhost:6379/0", "sqlite:///q.db"],
+        ids=["kafka", "redis", "sqlite"],
     )
     def test_unknown_scheme_rejected(self, url):
         with pytest.raises(ReproError, match="unknown broker URL scheme"):
             connect_broker(url)
+
+    @pytest.mark.parametrize("url, directory, error", [
+        ("fs://", None, "needs a directory"),
+        ("sqlite:///q.db", None, "unknown broker URL scheme"),
+        ("redis://h", None, "unknown broker URL scheme"),
+        ("fs://{tmp}/queue", "{tmp}/queue", None),
+        ("{tmp}/queue", "{tmp}/queue", None),
+    ], ids=["fs-without-directory", "sqlite", "redis", "fs", "bare-path"])
+    def test_fsck_resolves_urls_like_connect_broker(
+        self, tmp_path, url, directory, error
+    ):
+        # fsck must open exactly the directory a worker would, and
+        # refuse exactly the URLs connect_broker refuses.
+        url = url.format(tmp=tmp_path)
+        if error is not None:
+            with pytest.raises(ReproError, match=error):
+                connect_broker(url)
+            with pytest.raises(ReproError, match=error):
+                fsck_report(broker=url)
+            return
+        directory = directory.format(tmp=tmp_path)
+        with connect_broker(url) as made:
+            assert str(made.root) == directory
+        assert fsck_report(broker=url)["broker"]["root"] == directory

@@ -86,16 +86,6 @@ class TestByteIdentity:
         # job, so artifacts are built at most once per (worker, log).
         assert stats["workers_total"]["artifact_builds"] <= 2 * 2
 
-    def test_sqlite_broker_parity(self, tmp_path):
-        job = _jobs()[0]
-        reference = SequentialExecutor().submit(job).result()
-        with DistributedExecutor(
-            f"sqlite://{tmp_path / 'queue.db'}", workers=1,
-            lease=5.0, poll_interval=0.02,
-        ) as pool:
-            mine = pool.submit(job).result(timeout=60)
-        assert result_signature(mine) == result_signature(reference)
-
     def test_run_batch_over_a_broker(self, tmp_path):
         jobs = _jobs()[:2]
         reference = run_batch([job for job in jobs], workers=1)

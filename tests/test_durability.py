@@ -381,6 +381,24 @@ class TestBrokerIntegrity:
         assert report["store"]["scanned"] >= 1
         assert report["broker"]["scanned"] >= 1
 
+    def test_report_only_fsck_lists_stale_tmp_files_and_keeps_them(self, tmp_path):
+        store = tmp_path / "store"
+        (store / "ab").mkdir(parents=True)
+        FilesystemBroker(tmp_path / "q")
+        staging = [store / "x.tmp", store / "ab" / "y.tmp",
+                   tmp_path / "q" / "tmp" / "z.tmp"]
+        old = time.time() - 3600
+        for path in staging:
+            path.write_text("{")
+            os.utime(path, (old, old))
+        report = fsck_report(cache_dir=store, broker=f"fs://{tmp_path / 'q'}",
+                             repair=False)
+        # Listed as what a repair would remove, but left on disk.
+        assert report["store"]["tmp_removed"] == ["ab/y.tmp", "x.tmp"]
+        assert report["broker"]["tmp_removed"] == ["z.tmp"]
+        assert report["totals"]["tmp_removed"] == 3
+        assert all(path.exists() for path in staging)
+
 
 class TestGracefulShutdown:
     def test_worker_drains_on_sigterm(self, tmp_path):
