@@ -164,6 +164,13 @@ def _abstract_traces_compiled(log, grouping, index, strategy):
         return None
     import numpy as np
 
+    # ``Event._adopt`` skips ``Event.__init__``'s checks, so it needs
+    # valid labels and aware stamps: a naive stamp forced into an event
+    # after construction still gets its UTC from ``Event``.
+    adopt = column.aware and all(
+        isinstance(label, str) and label for label in grouping.labels.values()
+    )
+    new_event = Event._adopt if adopt else Event
     events: list[Event] = []
     # Sort keys of ``events``, one array per emission block.
     owners, places, orders = [], [], []
@@ -215,7 +222,7 @@ def _abstract_traces_compiled(log, grouping, index, strategy):
                 stamp_at += 1
             if strategy == "complete" or count == 1:
                 attributes[LIFECYCLE_ATTRIBUTE] = "complete"
-                events.append(Event(label, attributes))
+                events.append(new_event(label, attributes))
                 continue
             start_attributes = dict(attributes)
             start_attributes[LIFECYCLE_ATTRIBUTE] = "start"
@@ -223,9 +230,9 @@ def _abstract_traces_compiled(log, grouping, index, strategy):
                 start_attributes[TIMESTAMP_KEY] = start_attributes[
                     "gecco:start_timestamp"
                 ]
-            starts_emitted.append(Event(f"{label}_s", start_attributes))
+            starts_emitted.append(new_event(f"{label}_s", start_attributes))
             attributes[LIFECYCLE_ATTRIBUTE] = "complete"
-            events.append(Event(f"{label}_c", attributes))
+            events.append(new_event(f"{label}_c", attributes))
         owners.append(stats.trace_ids)
         places.append(stats.lasts)
         orders.append(np.ones(num_instances, dtype=np.int8))
@@ -244,6 +251,6 @@ def _abstract_traces_compiled(log, grouping, index, strategy):
         events = [events[i] for i in ordering.tolist()]
         bounds = np.searchsorted(owner[ordering], np.arange(len(bounds))).tolist()
     return [
-        Trace(events[lo:hi], dict(trace.attributes))
+        Trace._adopt(events[lo:hi], dict(trace.attributes))
         for trace, lo, hi in zip(log, bounds, bounds[1:])
     ]

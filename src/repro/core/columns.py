@@ -118,16 +118,19 @@ class _TimestampColumn:
     records that some event carries a non-``None``, non-``datetime``
     timestamp value: Step-3 provenance follows the reference's weaker
     ``timestamp is not None`` test there, so the compiled abstraction
-    must fall back to the reference path for such logs.
+    must fall back to the reference path for such logs.  ``aware``
+    says whether the stamps are timezone-aware (all of them are, or
+    none).
     """
 
-    __slots__ = ("us", "mask", "objects", "has_foreign_stamps")
+    __slots__ = ("us", "mask", "objects", "has_foreign_stamps", "aware")
 
-    def __init__(self, us, mask, objects, has_foreign_stamps=False):
+    def __init__(self, us, mask, objects, has_foreign_stamps=False, aware=True):
         self.us = us
         self.mask = mask
         self.objects = objects
         self.has_foreign_stamps = has_foreign_stamps
+        self.aware = aware
 
 
 class AttributeColumns:
@@ -253,7 +256,9 @@ class AttributeColumns:
                 )
                 us = np.zeros(mask.size, dtype=np.int64)
                 us[mask] = (days * 86400 + seconds) * 10**6 + micros
-                self._timestamps = _TimestampColumn(us, mask, objects, foreign)
+                self._timestamps = _TimestampColumn(
+                    us, mask, objects, foreign, aware=None not in zones
+                )
         return self._timestamps
 
 

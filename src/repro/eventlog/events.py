@@ -85,6 +85,19 @@ class Event:
             attrs[TIMESTAMP_KEY] = _ensure_datetime(attrs[TIMESTAMP_KEY])
         self.attributes = attrs
 
+    @classmethod
+    def _adopt(cls, event_class: str, attributes: dict) -> "Event":
+        """Build an event that owns ``attributes``, without the checks.
+
+        Preconditions, unchecked: ``event_class`` is a non-empty
+        ``str``; ``attributes`` is a ``dict`` no one else holds; its
+        timestamp, if any, is already a timezone-aware ``datetime``.
+        """
+        event = cls.__new__(cls)
+        event.event_class = event_class
+        event.attributes = attributes
+        return event
+
     # -- attribute access -------------------------------------------------
 
     def get(self, key: str, default: Any = None) -> Any:
@@ -146,6 +159,18 @@ class Trace(Sequence[Event]):
             if not isinstance(event, Event):
                 raise EventLogError(f"trace elements must be Event, got {type(event).__name__}")
         self.attributes = dict(attributes) if attributes else {}
+
+    @classmethod
+    def _adopt(cls, events: list, attributes: dict) -> "Trace":
+        """Build a trace that owns ``events`` and ``attributes``, unchecked.
+
+        Preconditions: ``events`` is a ``list`` of :class:`Event` and
+        ``attributes`` a ``dict``, neither held by anyone else.
+        """
+        trace = cls.__new__(cls)
+        trace.events = events
+        trace.attributes = attributes
+        return trace
 
     # -- sequence protocol -------------------------------------------------
 

@@ -25,6 +25,7 @@ Failure semantics:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import signal
@@ -46,8 +47,16 @@ from repro.service.resilience import RetryPolicy
 
 
 def default_worker_id() -> str:
-    """A fleet-unique worker name: ``<hostname>-<pid>``."""
-    return f"{socket.gethostname()}-{os.getpid()}"
+    """A fleet-unique worker name: ``<hostname>-<pid>``.
+
+    Off the main thread the thread id is appended: two worker loops in
+    one process must not share a name, or one may take over and then
+    drop the task lease the other holds.
+    """
+    name = f"{socket.gethostname()}-{os.getpid()}"
+    if threading.current_thread() is not threading.main_thread():
+        name += f"-{threading.get_native_id()}"
+    return name
 
 
 @dataclass
@@ -181,8 +190,10 @@ def run_claimed_task(
             from repro.service.executor import run_job
 
             result, cached = run_job(work, cache)
+            # The submitter keeps the input log; the cached result stays whole.
             return encode_result_flagged(
-                value=result, cached=cached, worker=worker,
+                value=dataclasses.replace(result, original_log=None),
+                cached=cached, worker=worker,
                 worker_stats=cache.snapshot(),
             )
         fn, args, kwargs = work

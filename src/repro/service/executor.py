@@ -455,6 +455,8 @@ def _pool_worker_run(job: AbstractionJob, claim_span: str | None = None):
     # under it even though they're emitted in another process.
     with span_scope(job.trace_id, claim_span or job.span_id):
         result, cached = run_job(job, cache)
+    # The submitter keeps the input log; the cached result stays whole.
+    result = dataclasses.replace(result, original_log=None)
     return result, cached, os.getpid(), cache.snapshot()
 
 
@@ -728,11 +730,16 @@ class _DispatchCore:
 
     def _deliver(self, task: _Task, value=None, cached: bool = False,
                  error: BaseException | None = None) -> None:
-        """Settle a released task's handle; job results enter the parent cache."""
+        """Settle a released task's handle; job results enter the parent cache.
+
+        Workers return job results without ``original_log``; the job's
+        own log, resolved when it was fingerprinted, goes back in.
+        """
         if error is not None:
             task.handle._fail(error)
             return
         if task.kind == _KIND_JOB:
+            value.original_log = task.payload.log.resolve()
             try:
                 self.cache.put_result(task.handle.fingerprint, value)
             except Exception:

@@ -142,8 +142,10 @@ def fsck_broker(
 
     * ``queue/`` and ``claimed/`` — entry names must parse and payload
       checksum frames must verify; the payload must also unpickle
-      (undecodable tasks would only crash a worker later).  Failures
-      move to ``quarantine/`` with a ``.reason`` sidecar;
+      (undecodable tasks would only crash a worker later).  An inline
+      log inside stays undecoded bytes: the frame's checksum covers
+      them.  Failures move to ``quarantine/`` with a ``.reason``
+      sidecar;
     * ``results/`` — envelope frames must verify; corrupt results move
       to quarantine and are replaced by explicit error envelopes (the
       same self-healing the live read path applies);

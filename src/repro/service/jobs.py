@@ -20,11 +20,15 @@ datasets (``running_example``, ``loan:80``, ``synthetic:10x40``), files
 (``.xes``/``.csv``), or inline :class:`~repro.eventlog.events.EventLog`
 objects.  References resolve lazily and pickle compactly — builtin and
 path references re-resolve inside worker processes instead of shipping
-event data over the pipe.
+event data over the pipe.  An inline reference crosses the pipe as the
+pickled bytes of its log, encoded once per reference however many jobs
+share it; the receiving side decodes them only on
+:meth:`LogRef.resolve`, which a worker calls only to build artifacts.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -84,9 +88,16 @@ BUILTIN_LOGS = {
 
 
 class LogRef:
-    """A resolvable, digestible reference to an event log."""
+    """A resolvable, digestible reference to an event log.
 
-    __slots__ = ("kind", "spec", "_log", "_digest")
+    Pickling an inline reference ships ``pickle.dumps(log)`` bytes,
+    encoded on the first pickling and memoized; an unpickled reference
+    keeps them undecoded until :meth:`resolve`.  The bytes, like the
+    digest, are a snapshot taken at first use: mutating an inline log
+    after submitting it was never supported.
+    """
+
+    __slots__ = ("kind", "spec", "_log", "_blob", "_digest")
 
     def __init__(self, kind: str, spec: str | None = None, log: EventLog | None = None):
         if kind not in LOG_REF_KINDS:
@@ -96,6 +107,7 @@ class LogRef:
         self.kind = kind
         self.spec = spec
         self._log = log
+        self._blob: bytes | None = None
         self._digest: str | None = None
 
     # -- constructors ------------------------------------------------------
@@ -153,8 +165,8 @@ class LogRef:
                     raise ReproError(
                         f"unsupported log format {suffix!r} (use .xes or .csv)"
                     )
-            else:  # pragma: no cover - inline always carries its log
-                raise ReproError("inline log reference lost its log")
+            else:
+                self._log = pickle.loads(self._blob)
         return self._log
 
     def digest(self) -> str:
@@ -175,7 +187,7 @@ class LogRef:
             return {
                 "kind": "inline",
                 "name": self.spec,
-                "log": serialization.log_to_dict(self._log),
+                "log": serialization.log_to_dict(self.resolve()),
             }
         return {"kind": self.kind, "spec": self.spec}
 
@@ -197,13 +209,17 @@ class LogRef:
 
     def __getstate__(self):
         # Builtin/path references re-resolve in the receiving process;
-        # only inline references must ship their event data.  The digest
-        # travels along so workers never recompute it.
-        log = self._log if self.kind == "inline" else None
-        return (self.kind, self.spec, log, self._digest)
+        # only inline references ship their event data, as bytes encoded
+        # once.  The digest travels along so workers never recompute it.
+        if self.kind == "inline" and self._blob is None:
+            self._blob = pickle.dumps(self._log, pickle.HIGHEST_PROTOCOL)
+        return (self.kind, self.spec, self._blob, self._digest)
 
     def __setstate__(self, state):
-        self.kind, self.spec, self._log, self._digest = state
+        self.kind, self.spec, data, self._digest = state
+        self._log, self._blob = None, data
+        if isinstance(data, EventLog):  # a payload queued before the bytes form
+            self._log, self._blob = data, None
 
     def __repr__(self) -> str:
         return f"LogRef({self.describe()})"

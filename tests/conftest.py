@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from types import SimpleNamespace
+
 import pytest
 
 from repro.constraints import ConstraintSet, MaxDistinctClassAttribute, MaxGroupSize
@@ -43,3 +46,28 @@ def loan_log():
 def size_cap_constraints():
     """The evaluation's base constraint |g| <= 8."""
     return ConstraintSet([MaxGroupSize(8)])
+
+
+@pytest.fixture
+def log_codec(monkeypatch):
+    """Count the inline-log encodes and decodes :class:`LogRef` makes."""
+    from repro.service import jobs
+
+    calls = {"dumps": 0, "loads": 0}
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return getattr(pickle, name)(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(
+        jobs, "pickle",
+        SimpleNamespace(
+            HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
+            dumps=counted("dumps"),
+            loads=counted("loads"),
+        ),
+    )
+    return calls

@@ -397,9 +397,19 @@ class TestCompiledAbstraction:
         )
         self._assert_logs_byte_identical(reference, compiled)
 
-    def test_non_datetime_stamps_fall_back_to_reference(self):
-        # The reference emits provenance for *any* non-None timestamp
-        # value; non-datetime stamps must route Step 3 to that path.
+    @pytest.mark.parametrize(
+        "stamps, foreign",
+        [
+            (("01/02/2022 10:00", "01/02/2022 11:00"), True),
+            ((datetime(2022, 1, 2, 10), datetime(2022, 1, 2, 11)), False),
+        ],
+        ids=["non-datetime", "naive"],
+    )
+    def test_non_datetime_stamps_fall_back_to_reference(self, stamps, foreign):
+        # Stamps forced in after construction.  The reference emits
+        # provenance for *any* non-None timestamp value, so non-datetime
+        # stamps route Step 3 to that path; naive ones stay compiled,
+        # where ``Event`` must still make the emitted stamp UTC-aware.
         log = EventLog(
             [
                 Trace(
@@ -410,13 +420,13 @@ class TestCompiledAbstraction:
                 )
             ]
         )
-        log[0][0].attributes["time:timestamp"] = "01/02/2022 10:00"
-        log[0][1].attributes["time:timestamp"] = "01/02/2022 11:00"
+        for event, stamp in zip(log[0], stamps):
+            event.attributes["time:timestamp"] = stamp
         from repro.core.grouping import Grouping
 
         grouping = Grouping([frozenset(["a", "b"])], log.classes)
         index = CompiledInstanceIndex(log)
-        assert index.compiled.columns().timestamps().has_foreign_stamps
+        assert index.compiled.columns().timestamps().has_foreign_stamps is foreign
         for strategy in STRATEGIES:
             reference = abstract_log(
                 log, grouping, InstanceIndex(log), strategy=strategy

@@ -33,7 +33,7 @@ from repro.service.dist.broker import (
     new_task_id,
 )
 from repro.service.dist.fsbroker import FilesystemBroker
-from repro.service.dist.worker import worker_loop
+from repro.service.dist.worker import default_worker_id, worker_loop
 from repro.service.fsck import fsck_report
 from repro.service.journal import frame_bytes
 
@@ -412,6 +412,24 @@ class TestWorkerResilience:
         assert stats.completed == 1
         assert stats.broker_errors == 1
         assert decode_result(broker.get_result(task.task_id))["ok"]
+
+
+    def test_worker_loops_on_threads_get_distinct_default_names(self):
+        # Leases are owned by name: two loops sharing one could take
+        # over and then drop each other's task leases.
+        names = []
+        both_alive = threading.Barrier(2, timeout=10)
+
+        def name_loop():
+            both_alive.wait()
+            names.append(default_worker_id())
+
+        threads = [threading.Thread(target=name_loop) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(set(names + [default_worker_id()])) == 3
 
 
 class TestEnvelopes:

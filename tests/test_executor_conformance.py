@@ -8,6 +8,8 @@ checks routing, so a front-door behaviour can never hold for one and
 silently break on the other.
 """
 
+import dataclasses
+import pickle
 import threading
 import time
 
@@ -18,8 +20,16 @@ import repro.service.executor as pool_executor
 from repro.constraints import ConstraintSet, MaxGroupSize
 from repro.exceptions import ReproError
 from repro.obs.trace import read_trace
-from repro.service import AbstractionJob, LogRef, PoolExecutor, SequentialExecutor
+from repro.service import (
+    AbstractionJob,
+    ArtifactCache,
+    LogRef,
+    PoolExecutor,
+    SequentialExecutor,
+)
 from repro.service.dist import DistributedExecutor
+from repro.service.dist.broker import Claim, TaskEnvelope, decode_result, new_task_id
+from repro.service.dist.worker import run_claimed_task
 from repro.service.resilience import AdmissionController, Overloaded
 from repro.service.serialization import result_signature
 
@@ -115,6 +125,56 @@ def test_two_workers_on_one_log_match_sequential(make):
         result_signature(sequential.submit(job).result()) for job in jobs
     ]
     assert executor.stats()["workers_total"]["artifact_builds"] <= 2 * 1
+
+
+@pytest.mark.parametrize("kind", ["builtin", "inline"])
+def test_results_carry_the_submitters_own_log(make, kind):
+    # Workers send results back without the input log; the dispatch
+    # core puts back the job's own, resolved when it was fingerprinted.
+    ref = LogRef.builtin("running_example")
+    if kind == "inline":
+        ref = LogRef.inline(ref.resolve())
+    jobs = [
+        AbstractionJob(log=ref, constraints=ConstraintSet([MaxGroupSize(size)]))
+        for size in (3, 5)
+    ]
+    executor = make()
+    results = [
+        handle.result(timeout=60) for handle in [executor.submit(job) for job in jobs]
+    ]
+    sequential = SequentialExecutor()
+    for job, result in zip(jobs, results):
+        assert result.original_log is job.log.resolve()
+        assert result_signature(result) == result_signature(
+            sequential.submit(job).result()
+        )
+
+
+def _worker_sends(transport, job, cache, monkeypatch):
+    """The result a worker of ``transport`` sends back for ``job``."""
+    job = pickle.loads(pickle.dumps(job))  # as the worker receives it
+    if transport == "pool":
+        monkeypatch.setattr(pool_executor, "_WORKER_CACHE", cache)
+        return pool_executor._pool_worker_run(job)[0]
+    envelope = TaskEnvelope(new_task_id(), "job", pickle.dumps(job))
+    payload, ok = run_claimed_task(Claim(envelope, "w", 0.0), cache, "w")
+    assert ok
+    return decode_result(payload)["value"]
+
+
+def test_workers_send_results_without_the_input_log(transport, monkeypatch):
+    job = AbstractionJob(
+        log=LogRef.inline(LogRef.builtin("running_example").resolve()),
+        constraints=ConstraintSet([MaxGroupSize(3)]),
+    )
+    cache = ArtifactCache()
+    for attempt in ("computed", "result-tier hit"):
+        sent = _worker_sends(transport, job, cache, monkeypatch)
+        assert sent.original_log is None, attempt
+        kept = cache.get_result(job.fingerprint().full)
+        assert kept.original_log is not None, attempt
+        restored = dataclasses.replace(sent, original_log=kept.original_log)
+        assert result_signature(restored) == result_signature(kept), attempt
 
 
 def test_priorities_dispatch_high_first(make, tmp_path):

@@ -1,6 +1,7 @@
 """Executor behavior: sequential/pool equivalence, coalescing, offload."""
 
 import heapq
+import pickle
 import random
 import time
 
@@ -13,10 +14,12 @@ from repro.eventlog.events import ROLE_KEY, Event, Trace
 from repro.exceptions import ReproError
 from repro.service import (
     AbstractionJob,
+    ArtifactCache,
     LogRef,
     PoolExecutor,
     SequentialExecutor,
     result_signature,
+    run_job,
 )
 
 
@@ -65,6 +68,19 @@ class TestSequentialExecutor:
         repeat = executor.submit(jobs_grid()[0])
         assert repeat.cached is True
         assert result_signature(repeat.result()) == result_signature(handle.result())
+
+    def test_run_job_on_warm_artifacts_never_decodes_the_log(
+        self, running_log, log_codec
+    ):
+        cache = ArtifactCache()
+        ref = LogRef.inline(running_log)
+        run_job(AbstractionJob(log=ref, constraints=ConstraintSet([MaxGroupSize(3)])), cache)
+        job = AbstractionJob(log=ref, constraints=ConstraintSet([MaxGroupSize(5)]))
+        job.fingerprint()
+        # As a worker receives it: the log is bytes, the digest is known.
+        result, cached = run_job(pickle.loads(pickle.dumps(job)), cache)
+        assert result.feasible and not cached
+        assert log_codec["loads"] == 0
 
     def test_error_is_raised_on_await(self, tmp_path):
         executor = SequentialExecutor()

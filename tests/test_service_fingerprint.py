@@ -1,6 +1,7 @@
 """Fingerprints: canonical JSON, log digests, job content addresses."""
 
 import json
+import pickle
 import random
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.constraints import ConstraintSet
+from repro.constraints import ConstraintSet, MaxGroupSize
 from repro.constraints.parser import constraint_to_spec, parse_constraint
 from repro.core.gecco import GeccoConfig
 from repro.datasets import running_example_log
@@ -197,6 +198,47 @@ class TestLogRef:
         target = tmp_path / "log.xes"
         xes.dump(running_log, target)
         assert LogRef.path(str(target)).digest() == LogRef.inline(running_log).digest()
+
+    @pytest.mark.parametrize("kind, encodes", [("inline", 1), ("builtin", 0)])
+    def test_jobs_sharing_a_ref_encode_its_log_at_most_once(
+        self, running_log, log_codec, kind, encodes
+    ):
+        ref = (
+            LogRef.inline(running_log)
+            if kind == "inline"
+            else LogRef.builtin("running_example")
+        )
+        jobs = [
+            AbstractionJob(log=ref, constraints=ConstraintSet([MaxGroupSize(bound)]))
+            for bound in (2, 3, 4)
+        ]
+        for job in jobs:
+            job.fingerprint()
+        sizes = [len(pickle.dumps(job)) for job in jobs]
+        assert log_codec == {"dumps": encodes, "loads": 0}
+        # Builtin references ship no event data.
+        log_bytes = len(pickle.dumps(running_log, pickle.HIGHEST_PROTOCOL))
+        assert (min(sizes) > log_bytes) is (kind == "inline")
+
+    def test_unpickled_inline_ref_decodes_only_on_resolve(self, running_log, log_codec):
+        ref = LogRef.inline(running_log)
+        digest = ref.digest()  # fingerprinting memoizes it before dispatch
+        clone = pickle.loads(pickle.dumps(ref))
+        assert clone.digest() == digest
+        assert log_codec["loads"] == 0
+        log = clone.resolve()
+        assert clone.resolve() is log and log_codec["loads"] == 1
+        assert log_digest(log) == digest
+        assert clone.to_dict() == ref.to_dict()
+
+    def test_old_form_state_with_the_log_still_resolves(self, running_log):
+        # A durable queue written before the bytes form holds the log
+        # itself in the third slot of the state.
+        clone = LogRef.__new__(LogRef)
+        clone.__setstate__(("inline", "old", running_log, None))
+        assert clone.resolve() is running_log
+        again = pickle.loads(pickle.dumps(clone))
+        assert again.digest() == log_digest(running_log)
 
     def test_config_dict_round_trip(self):
         config = GeccoConfig(strategy="exhaustive", beam_width="auto", solver="bnb")
