@@ -29,21 +29,20 @@ package turns them into three durable, zero-dependency surfaces:
   dicts (scheduler, broker, admission, workers, cache tiers) into the
   registry on every scrape.
 * :mod:`~repro.obs.doctor` — **failure forensics**: ``repro doctor
-  <trace.jsonl ...>`` merges fleet traces and reports a failure
-  taxonomy (quarantine/deadline/shed/retry by cause), top-offender
-  jobs and workers, per-stage latency percentiles (queue wait vs
-  artifact build vs solve), cache-tier hit rates, exact parent/child
-  span trees, and a requeue/quarantine timeline — as JSON or
-  human-readable text.  ``--recommend`` adds an evidence-backed
-  tuning engine (:func:`recommend`) that cites the counts behind
-  every suggestion.
-* :mod:`~repro.obs.live` — **live monitoring**: a resumable
+  <trace.jsonl ...>`` merges fleet traces, folds them with the live
+  aggregator below with no window, and reports a failure taxonomy,
+  top-offender jobs and workers, per-stage latency percentiles,
+  cache-tier hit rates, exact span trees, and an incident timeline —
+  as JSON or text.  ``--recommend`` adds an evidence-backed tuning
+  engine (:func:`recommend`) that cites the counts behind every
+  suggestion.
+* :mod:`~repro.obs.live` — **the one trace reducer**: a resumable
   :class:`TraceFollower` tails growing (and rotating) trace files by
-  byte cursor, a :class:`LiveAggregator` folds the delta into
-  rolling-window stats (streaming p50/p99 per stage, failure
-  taxonomy, worker liveness, queue depth, deadline burn rate), and
-  ``repro top`` renders the snapshot as an ANSI dashboard or
-  ``--once --json`` machine output.
+  byte cursor, and a :class:`LiveAggregator` folds events into the
+  counters both commands report (exact nearest-rank p50/p99 per
+  stage, failure taxonomy, queue depth, worker liveness, deadline burn
+  rate); ``repro top`` renders its rolling-window snapshot as an ANSI
+  dashboard or ``--once --json`` machine output.
 
 Since spans landed, every ``submit`` mints ``trace_id``/``span_id``
 and the ids ride inside the pickled job through broker queues and

@@ -10,281 +10,88 @@ questions an operator actually asks after a bad night:
 * **who is hurting** — top-offender jobs (most redeliveries and
   failures) and workers (quarantines, heartbeat errors, broker errors,
   from their final ``worker_exit`` stats);
-* **where the time goes** — p50/p99 of queue wait (``queued`` →
-  ``claimed``), artifact build, solve, and end-to-end job latency;
+* **where the time goes** — p50/p99 of queue wait (a job's first
+  ``submitted`` or ``queued`` → each ``claimed``), artifact build,
+  solve and its stages, and end-to-end job latency;
 * **is the cache working** — hit counts per tier from ``cache_hit``
   events plus true hit *rates* from worker cache snapshots;
-* **when it happened** — a chronological requeue/quarantine timeline;
+* **when it happened** — a chronological incident timeline;
 * **what to change** — :func:`recommend` turns the taxonomy, latency,
   and cache sections into evidence-backed tuning suggestions
   (``repro doctor --recommend``), each citing the counts that
   triggered it.
 
-Span-bearing traces (``trace_id``/``span_id``/``parent_span`` minted
-by the executors since :mod:`repro.obs.trace` grew span context) get a
+Span-bearing traces (``trace_id``/``span_id``/``parent_span``) get a
 ``spans`` section with exact parent/child trees: every claimed job's
-worker-side events nest under its submit span instead of being
-correlated by timestamp heuristics.  Pre-span traces parse unchanged —
-the ``spans`` section is empty and every analysis below falls back to
-timestamp ordering.
+worker-side events nest under its submit span.  Pre-span traces parse
+unchanged, with an empty ``spans`` section.
 
-Attribution is reconstructive: a ``claimed`` event with ``attempt > 0``
-is a redelivery; if a ``released`` event for the same task precedes
-it, the redelivery was voluntary (e.g. a corrupt payload handed back),
-otherwise the lease expired — which, with a ``heartbeat`` error event
-in between, points at heartbeat loss rather than worker death.  This
-is exactly the fault vocabulary the chaos harness
-(:mod:`repro.service.dist.chaos`) injects, so a seeded chaos drill can
-assert every injected fault class lands in the right taxonomy bucket.
+The events are folded by :class:`~repro.obs.live.LiveAggregator`, the
+reducer behind ``repro top``, with no window; its docstring states the
+attribution rules.  Redeliveries split into voluntary releases and
+lease expiry — with a ``heartbeat`` error in between, heartbeat loss
+rather than worker death — which is the fault vocabulary the chaos
+harness (:mod:`repro.service.dist.chaos`) injects, so a seeded chaos
+drill can assert every injected fault class lands in its bucket.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter as TallyCounter
-from collections import defaultdict
 
+from repro.obs.live import LiveAggregator
 from repro.obs.trace import merge_traces
 
 #: Doctor report schema tag.
 DOCTOR_SCHEMA = "gecco-doctor/1"
 
 
-def _percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile on a sorted copy (no numpy needed)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[index]
-
-
-def _stage_summary(samples: list[float]) -> dict:
-    return {
-        "count": len(samples),
-        "total_s": round(sum(samples), 6),
-        "p50_s": round(_percentile(samples, 0.50), 6),
-        "p99_s": round(_percentile(samples, 0.99), 6),
-    }
-
-
 def analyze_trace(paths_or_events) -> dict:
     """Merge traces and distill them into one forensics report dict.
 
     Accepts a list of trace file paths, or (for tests and embedding) a
-    pre-merged list of event dicts.  Returns a JSON-ready report; see
+    pre-merged list of event dicts.  The events are folded by
+    ``repro top``'s reducer with no window
+    (:class:`~repro.obs.live.LiveAggregator` with ``window=None``), so
+    both commands count a trace the same way; this function only
+    shapes the aggregator's counters, stage samples, span nodes and
+    incidents into the report.  Returns a JSON-ready report; see
     ``docs/observability.md`` for the field reference.
     """
     if paths_or_events and isinstance(paths_or_events[0], dict):
-        events = list(paths_or_events)
+        events = paths_or_events
     else:
         events = merge_traces(paths_or_events)
+    trace = LiveAggregator(window=None)
+    trace.feed(events)
 
-    counts = TallyCounter(e.get("event", "?") for e in events)
-    workers = sorted(
-        {e["worker"] for e in events if e.get("worker")}
-    )
-
-    # --- failure taxonomy -------------------------------------------------
-    retries: TallyCounter = TallyCounter()
-    for e in events:
-        if e.get("event") == "retry":
-            retries[f'{e.get("op", "?")}:{e.get("cause", "?")}'] += 1
-
-    released_tasks: dict[str, int] = defaultdict(int)
-    for e in events:
-        if e.get("event") == "released":
-            key = e.get("task_id") or e.get("fingerprint") or "?"
-            released_tasks[key] += 1
-
-    heartbeat_errors = sum(
-        1 for e in events if e.get("event") == "heartbeat" and e.get("error")
-    )
-
-    redeliveries = {"released": 0, "lease_expired": 0}
-    redelivered_jobs: TallyCounter = TallyCounter()
-    budget: dict[str, int] = defaultdict(int)  # releases not yet matched
-    for e in events:
-        name = e.get("event")
-        key = e.get("task_id") or e.get("fingerprint") or "?"
-        if name == "released":
-            budget[key] += 1
-        elif name == "claimed" and e.get("attempt", 0) > 0:
-            redelivered_jobs[e.get("fingerprint") or key] += 1
-            if budget.get(key, 0) > 0:
-                budget[key] -= 1
-                redeliveries["released"] += 1
-            else:
-                redeliveries["lease_expired"] += 1
-    requeue_sweeps = sum(
-        e.get("count", 0) for e in events if e.get("event") == "requeued"
-    )
-
-    quarantines: TallyCounter = TallyCounter()
-    for e in events:
-        if e.get("event") == "quarantined":
-            quarantines[_reason_class(e.get("reason", ""))] += 1
-
-    sheds: TallyCounter = TallyCounter(
-        e.get("cause", "overload") for e in events if e.get("event") == "shed"
-    )
-    deadlines: TallyCounter = TallyCounter(
-        e.get("stage", "?") for e in events if e.get("event") == "deadline_exceeded"
-    )
-    degraded: TallyCounter = TallyCounter(
-        e.get("cause", "?") for e in events if e.get("event") == "degraded"
-    )
-    failures = sum(
-        1
-        for e in events
-        if e.get("event") == "done"
-        and (e.get("error") or e.get("ok") is False)
-    )
-    worker_restarts = counts.get("worker_restart", 0)
-    slot_quarantines = counts.get("supervisor_slot_quarantined", 0)
-
-    # --- latency breakdown ------------------------------------------------
-    queued_at: dict[str, float] = {}
-    queue_waits: list[float] = []
-    for e in events:
-        key = e.get("task_id") or e.get("fingerprint")
-        if key is None:
-            continue
-        name = e.get("event")
-        if name in ("queued", "submitted"):
-            # first enqueue wins; redeliveries measure from original entry
-            queued_at.setdefault(key, e.get("ts", 0.0))
-        elif name == "claimed" and key in queued_at:
-            queue_waits.append(max(0.0, e.get("ts", 0.0) - queued_at[key]))
-
-    stage_samples: dict[str, list[float]] = defaultdict(list)
-    for e in events:
-        name = e.get("event")
-        if name == "artifact_build" and "seconds" in e:
-            stage_samples["artifact_build"].append(float(e["seconds"]))
-        elif name == "solve":
-            timings = e.get("timings") or {}
-            for stage, seconds in timings.items():
-                stage_samples[f"solve_{stage}"].append(float(seconds))
-            if "seconds" in e:
-                stage_samples["solve"].append(float(e["seconds"]))
-        elif name == "done" and "seconds" in e:
-            stage_samples["job_total"].append(float(e["seconds"]))
-    latency = {"queue_wait": _stage_summary(queue_waits)}
-    for stage in sorted(stage_samples):
-        latency[stage] = _stage_summary(stage_samples[stage])
-
-    # --- cache ------------------------------------------------------------
-    tier_hits: TallyCounter = TallyCounter(
-        e.get("tier", "?") for e in events if e.get("event") == "cache_hit"
-    )
-    snapshot_totals: dict[str, TallyCounter] = defaultdict(TallyCounter)
-    for e in events:
-        if e.get("event") == "worker_exit":
-            cache = e.get("stats", {}).get("cache") or {}
-            for tier, counters in cache.items():
-                if isinstance(counters, dict):
-                    for key, value in counters.items():
-                        if isinstance(value, (int, float)):
-                            snapshot_totals[tier][key] += value
     hit_rates = {}
     lookups = {}
-    for tier, counters in sorted(snapshot_totals.items()):
-        hits, misses = counters.get("hits", 0), counters.get("misses", 0)
+    for tier, counters in sorted(trace.cache_totals.items()):
+        hits, misses = counters["hits"], counters["misses"]
         if hits + misses:
             hit_rates[tier] = round(hits / (hits + misses), 4)
             lookups[tier] = int(hits + misses)
-
-    # --- offenders --------------------------------------------------------
-    job_trouble: TallyCounter = TallyCounter()
-    job_trouble.update(redelivered_jobs)
-    for e in events:
-        key = e.get("fingerprint") or e.get("task_id")
-        if key is None:
-            continue
-        name = e.get("event")
-        if name == "quarantined" or (
-            name == "done" and (e.get("error") or e.get("ok") is False)
-        ):
-            job_trouble[key] += 1
-        elif name == "deadline_exceeded":
-            job_trouble[key] += 1
-    worker_trouble: list[dict] = []
-    for e in events:
-        if e.get("event") != "worker_exit":
-            continue
-        stats = e.get("stats", {})
-        score = sum(
-            stats.get(k, 0)
-            for k in (
-                "failed", "quarantined", "released",
-                "broker_errors", "heartbeat_errors",
-            )
-        )
-        worker_trouble.append(
-            {
-                "worker": stats.get("worker") or e.get("worker", "?"),
-                "trouble_score": score,
-                "completed": stats.get("completed", 0),
-                "failed": stats.get("failed", 0),
-                "quarantined": stats.get("quarantined", 0),
-                "released": stats.get("released", 0),
-                "requeued": stats.get("requeued", 0),
-                "broker_errors": stats.get("broker_errors", 0),
-                "heartbeat_errors": stats.get("heartbeat_errors", 0),
-            }
-        )
-    worker_trouble.sort(key=lambda w: (-w["trouble_score"], w["worker"]))
-
-    # --- timeline ---------------------------------------------------------
-    timeline = [
-        {
-            "ts": e.get("ts", 0.0),
-            "event": e.get("event"),
-            "task_id": e.get("task_id"),
-            "fingerprint": e.get("fingerprint"),
-            "worker": e.get("worker"),
-            "attempt": e.get("attempt"),
-            "reason": e.get("reason") or e.get("cause") or e.get("stage"),
-        }
-        for e in events
-        if e.get("event")
-        in ("requeued", "released", "quarantined", "shed",
-            "deadline_exceeded", "worker_restart",
-            "supervisor_slot_quarantined")
-        or (e.get("event") == "claimed" and e.get("attempt", 0) > 0)
-    ]
-    for entry in timeline:
-        for key in list(entry):
-            if entry[key] is None:
-                del entry[key]
-
+    # Redelivered jobs first: ``most_common`` breaks ties by that order.
+    job_trouble = TallyCounter(trace.redelivered_jobs)
+    job_trouble.update(trace.job_trouble)
+    worker_trouble = sorted(
+        trace.worker_rows, key=lambda w: (-w["trouble_score"], str(w["worker"]))
+    )
     return {
         "schema": DOCTOR_SCHEMA,
-        "events": sum(counts.values()),
-        "event_counts": dict(sorted(counts.items())),
-        "workers": workers,
-        "taxonomy": {
-            "retries": dict(sorted(retries.items())),
-            "redeliveries": dict(redeliveries),
-            "requeue_sweep_moves": requeue_sweeps,
-            "releases": sum(released_tasks.values()),
-            "heartbeat_errors": heartbeat_errors,
-            "quarantines": dict(sorted(quarantines.items())),
-            "sheds": dict(sorted(sheds.items())),
-            "deadline_exceeded": dict(sorted(deadlines.items())),
-            "degraded": dict(sorted(degraded.items())),
-            "job_failures": failures,
-            "worker_restarts": worker_restarts,
-            "slot_quarantines": slot_quarantines,
-        },
-        "latency": latency,
+        "events": trace.events,
+        "event_counts": dict(sorted(trace.event_counts.items())),
+        "workers": sorted(name for name in trace.workers if name),
+        "taxonomy": trace.taxonomy(),
+        "latency": trace.latency(),
         "cache": {
-            "tier_hits": dict(sorted(tier_hits.items())),
+            "tier_hits": dict(sorted(trace.tier_hits.items())),
             "hit_rates": hit_rates,
             "lookups": lookups,
         },
-        "spans": _analyze_spans(events),
+        "spans": trace.spans(),
         "offenders": {
             "jobs": [
                 {"job": job, "trouble_score": score}
@@ -292,107 +99,7 @@ def analyze_trace(paths_or_events) -> dict:
             ],
             "workers": worker_trouble[:10],
         },
-        "timeline": timeline,
-    }
-
-
-#: How many span trees the report embeds (the rest are counted only).
-_MAX_TREES = 10
-
-#: Recursion guard for corrupt traces with parent cycles.
-_MAX_SPAN_DEPTH = 64
-
-
-def _analyze_spans(events: list[dict]) -> dict:
-    """Build exact parent/child span trees from span-bearing events.
-
-    Events carrying a ``span_id`` become tree nodes; events carrying
-    only a ``parent_span`` (ambient-stamped annotations like
-    ``cache_hit`` or executor-side ``done``) attach to their parent
-    node as annotations.  Trees are grouped per ``trace_id`` and
-    rooted at ``submitted`` spans, so one job's cross-process
-    lifecycle — submit, claim, artifact build, solve — reads as a
-    single nested structure.  Traces without span fields yield an
-    empty section (``traced_jobs == 0``) and the rest of the report
-    degrades gracefully to timestamp ordering.
-    """
-    nodes: dict[str, dict] = {}
-    order: list[str] = []
-    annotations: list[tuple[str, dict]] = []
-    span_events = 0
-    trace_ids: set[str] = set()
-    for e in events:
-        sid, parent = e.get("span_id"), e.get("parent_span")
-        if sid is None and parent is None:
-            continue
-        span_events += 1
-        if e.get("trace_id"):
-            trace_ids.add(e["trace_id"])
-        if sid is not None:
-            if sid not in nodes:
-                fingerprint = e.get("fingerprint")
-                nodes[sid] = {
-                    "event": e.get("event", "?"),
-                    "span_id": sid,
-                    "parent_span": parent,
-                    "trace_id": e.get("trace_id"),
-                    "fingerprint": (
-                        str(fingerprint)[:12] if fingerprint else None
-                    ),
-                    "worker": e.get("worker"),
-                    "seconds": e.get("seconds"),
-                    "children": [],
-                    "annotations": [],
-                }
-                order.append(sid)
-        elif parent is not None:
-            annotations.append((parent, e))
-
-    for sid in order:
-        parent = nodes[sid]["parent_span"]
-        if parent is not None and parent in nodes and parent != sid:
-            nodes[parent]["children"].append(nodes[sid])
-    for parent, e in annotations:
-        if parent in nodes:
-            nodes[parent]["annotations"].append(e.get("event", "?"))
-
-    roots = [
-        nodes[sid]
-        for sid in order
-        if nodes[sid]["parent_span"] is None
-        or nodes[sid]["parent_span"] not in nodes
-    ]
-
-    def depth(node: dict, budget: int = _MAX_SPAN_DEPTH) -> int:
-        if budget <= 0:
-            return 0
-        return 1 + max(
-            (depth(child, budget - 1) for child in node["children"]),
-            default=0,
-        )
-
-    def export(node: dict, budget: int = _MAX_SPAN_DEPTH) -> dict:
-        entry = {"event": node["event"], "span_id": node["span_id"]}
-        for key in ("fingerprint", "worker", "seconds"):
-            if node[key] is not None:
-                entry[key] = node[key]
-        if node["annotations"]:
-            entry["annotations"] = list(node["annotations"])
-        if node["children"] and budget > 0:
-            entry["children"] = [
-                export(child, budget - 1) for child in node["children"]
-            ]
-        return entry
-
-    max_depth = max((depth(root) for root in roots), default=0)
-    submit_roots = [r for r in roots if r["event"] == "submitted"]
-    trees = [export(root) for root in (submit_roots or roots)[:_MAX_TREES]]
-    return {
-        "traced_jobs": len(submit_roots),
-        "span_events": span_events,
-        "traces": len(trace_ids),
-        "max_depth": max_depth,
-        "trees": trees,
+        "timeline": [entry for _, entry in trace.incidents],
     }
 
 
@@ -580,16 +287,6 @@ def recommend(report: dict) -> list[dict]:
         })
 
     return recs
-
-
-def _reason_class(reason) -> str:
-    """Collapse free-text quarantine reasons into stable classes."""
-    text = str(reason or "").lower()
-    if "deserialize" in text or "poison" in text or "pickle" in text:
-        return "poison_payload"
-    if "attempt" in text or "exhaust" in text or "budget" in text:
-        return "attempts_exhausted"
-    return "other"
 
 
 def render_report(report: dict) -> str:

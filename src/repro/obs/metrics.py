@@ -26,7 +26,6 @@ Zero dependencies, and instruments are safe to update from any thread.
 
 from __future__ import annotations
 
-import math
 import threading
 
 #: Default histogram bucket upper bounds (seconds) — spans the fast
@@ -60,10 +59,8 @@ def _format_value(value: float) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-class Counter:
-    """A monotonically increasing value, optionally per label set."""
-
-    kind = "counter"
+class _Scalar:
+    """One number per label set; the body :class:`Counter` and :class:`Gauge` share."""
 
     def __init__(self, name: str, help: str, lock: threading.Lock):
         self.name = name
@@ -78,12 +75,12 @@ class Counter:
             self._values[key] = self._values.get(key, 0.0) + value
 
     def value(self, **labels) -> float:
-        """Current total for ``labels`` (0 when never incremented)."""
+        """Current value for ``labels`` (0 when never touched)."""
         return self._values.get(_label_key(labels), 0.0)
 
     def render(self) -> list[str]:
         """Exposition-format lines for this instrument."""
-        lines = [f"# HELP {self.name} {self.help}", f"# TYPE {self.name} counter"]
+        lines = [f"# HELP {self.name} {self.help}", f"# TYPE {self.name} {self.kind}"]
         for key in sorted(self._values):
             lines.append(
                 f"{self.name}{_format_labels(key)} "
@@ -94,43 +91,21 @@ class Counter:
         return lines
 
 
-class Gauge:
+class Counter(_Scalar):
+    """A monotonically increasing value, optionally per label set."""
+
+    kind = "counter"
+
+
+class Gauge(_Scalar):
     """A value that can go up and down, optionally per label set."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str, lock: threading.Lock):
-        self.name = name
-        self.help = help
-        self._lock = lock
-        self._values: dict[tuple, float] = {}
 
     def set(self, value: float, /, **labels) -> None:
         """Replace the series for ``labels`` with ``value``."""
         with self._lock:
             self._values[_label_key(labels)] = value
-
-    def inc(self, value: float = 1.0, /, **labels) -> None:
-        """Add ``value`` (default 1, may be negative) for ``labels``."""
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + value
-
-    def value(self, **labels) -> float:
-        """Current value for ``labels`` (0 when never set)."""
-        return self._values.get(_label_key(labels), 0.0)
-
-    def render(self) -> list[str]:
-        """Exposition-format lines for this instrument."""
-        lines = [f"# HELP {self.name} {self.help}", f"# TYPE {self.name} gauge"]
-        for key in sorted(self._values):
-            lines.append(
-                f"{self.name}{_format_labels(key)} "
-                f"{_format_value(self._values[key])}"
-            )
-        if not self._values:
-            lines.append(f"{self.name} 0")
-        return lines
 
 
 class Histogram:
@@ -173,27 +148,6 @@ class Histogram:
         """Number of observations recorded for ``labels``."""
         series = self._series.get(_label_key(labels))
         return series[2] if series else 0
-
-    def quantile(self, q: float, **labels) -> float | None:
-        """Estimate the ``q``-quantile from the cumulative buckets.
-
-        Upper-bound rule (the streaming twin of the doctor's
-        nearest-rank percentiles): the estimate is the upper bound of
-        the first bucket whose cumulative count reaches rank
-        ``ceil(q*n)``; observations past the largest finite bound
-        report that bound.  ``None`` with no observations.  O(buckets)
-        and O(1) memory — what makes rolling-window percentile
-        refreshes O(delta) for the live dashboard.
-        """
-        series = self._series.get(_label_key(labels))
-        if not series or series[2] == 0:
-            return None
-        counts, _, n = series
-        rank = max(1, math.ceil(q * n))
-        for i, bound in enumerate(self.buckets):
-            if counts[i] >= rank:
-                return bound
-        return self.buckets[-1]
 
     def render(self) -> list[str]:
         """Exposition-format lines: ``_bucket``/``_sum``/``_count``."""

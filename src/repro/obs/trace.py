@@ -325,8 +325,19 @@ def read_trace(path) -> list[dict]:
     return parse_trace_bytes(raw)
 
 
+def _number(value, default=0):
+    """``value`` if it is an int or a float (a bool is neither), else ``default``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    return default
+
+
 def parse_trace_bytes(raw: bytes) -> list[dict]:
-    """Parse raw JSONL trace bytes, salvaging every well-formed line."""
+    """Parse raw JSONL trace bytes, salvaging every well-formed line.
+
+    A record needs a string ``event`` and a numeric ``ts`` if any; the
+    rest are skipped like torn lines, so they cannot break the merge.
+    """
     events: list[dict] = []
     for line in raw.split(b"\n"):
         line = line.strip()
@@ -336,8 +347,9 @@ def parse_trace_bytes(raw: bytes) -> list[dict]:
             record = json.loads(line)
         except ValueError:
             continue
-        if isinstance(record, dict) and "event" in record:
-            events.append(record)
+        if isinstance(record, dict) and isinstance(record.get("event"), str):
+            if _number(record.get("ts", 0.0), None) is not None:
+                events.append(record)
     return events
 
 
@@ -354,7 +366,7 @@ def _merge_key(event: dict) -> tuple:
     return (
         event.get("ts", 0.0),
         (str(event.get("worker", "")), str(event.get("pid", ""))),
-        event.get("mono", 0.0),
+        _number(event.get("mono"), 0.0),
     )
 
 

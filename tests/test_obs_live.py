@@ -20,7 +20,6 @@ Four properties matter and are tested here:
 import gzip
 import io
 import json
-import threading
 
 import pytest
 
@@ -39,7 +38,6 @@ from repro.obs import (
 )
 from repro.obs.doctor import RECOMMEND_THRESHOLDS, main_doctor, render_report
 from repro.obs.live import main_top
-from repro.obs.metrics import Histogram
 from repro.service import (
     AbstractionJob,
     LogRef,
@@ -63,30 +61,6 @@ def _write_events(path, events, worker="w1"):
         for event in events:
             name = event.pop("event")
             tracer.emit(name, **event)
-
-
-# ---------------------------------------------------------------------------
-# Histogram quantiles (streaming p50/p99 backing `repro top`)
-# ---------------------------------------------------------------------------
-
-
-class TestHistogramQuantile:
-    def test_empty_returns_none(self):
-        hist = Histogram("h", "", threading.Lock())
-        assert hist.quantile(0.5) is None
-
-    def test_bucket_upper_bound_rule(self):
-        hist = Histogram("h", "", threading.Lock(), buckets=(1.0, 2.0, 4.0))
-        for value in (0.5, 0.6, 3.0):
-            hist.observe(value)
-        # ranks: p50 -> 2nd of 3 -> first bucket (two values <= 1.0)
-        assert hist.quantile(0.5) == 1.0
-        assert hist.quantile(0.99) == 4.0
-
-    def test_overflow_reports_last_finite_bound(self):
-        hist = Histogram("h", "", threading.Lock(), buckets=(1.0, 2.0))
-        hist.observe(100.0)
-        assert hist.quantile(0.5) == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +183,21 @@ class TestTraceFollower:
         assert writer.rotations >= 1
         assert seen == [f"t{i}" for i in range(1, 50)]  # nothing lost/dup
 
+    def test_compressed_only_segment_is_read_whole_once(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        plain = tmp_path / "plain.jsonl"
+        _write_events(plain, [
+            {"event": "queued", "task_id": "t1"},
+            {"event": "claimed", "task_id": "t1"},
+        ])
+        with gzip.open(str(path) + ".gz", "wb") as fh:
+            fh.write(plain.read_bytes())
+        assert analyze_trace([str(path)])["events"] == 2
+        for followed in (path, str(path) + ".gz"):
+            follower = TraceFollower([followed])
+            assert [e["event"] for e in follower.poll()] == ["queued", "claimed"]
+            assert follower.poll() == []
+
     def test_cursors_resume_across_followers(self, tmp_path):
         path = tmp_path / "t.jsonl"
         writer = TraceWriter(path, worker="w1")
@@ -296,7 +285,156 @@ class TestSpanPropagation:
 # ---------------------------------------------------------------------------
 
 
+def _views(events):
+    """What ``repro doctor`` and ``repro top`` report, in one vocabulary."""
+    report = analyze_trace(events)
+    aggregator = LiveAggregator()
+    aggregator.feed(events)
+    snap = aggregator.snapshot()
+    tax, top = report["taxonomy"], snap["taxonomy"]
+    wait = report["latency"]["queue_wait"]
+    top_wait = snap["stages"].get("queue_wait", {"count": 0, "p50_s": 0.0})
+    doctor_view = {
+        "sheds": tax["sheds"],
+        "requeue_moves": tax["requeue_sweep_moves"],
+        "job_failures": tax["job_failures"],
+        "heartbeat_errors": tax["heartbeat_errors"],
+        "redeliveries": tax["redeliveries"],
+        "quarantines": tax["quarantines"],
+        "queue_wait": (wait["count"], wait["p50_s"]),
+        "max_depth": report["spans"]["max_depth"],
+    }
+    top_view = {
+        "sheds": top["shed_causes"],
+        "requeue_moves": top["requeue_sweep_moves"],
+        "job_failures": top["job_failures"],
+        "heartbeat_errors": top["heartbeat_errors"],
+        "redeliveries": {
+            "released": top["redeliveries_released"],
+            "lease_expired": top["redeliveries_lease_expired"],
+        },
+        "quarantines": top["quarantine_reasons"],
+        "queue_wait": (top_wait["count"], top_wait["p50_s"]),
+        "max_depth": snap["spans"]["max_depth"],
+    }
+    return doctor_view, top_view
+
+
+def _assert_views(events, expected):
+    doctor, top = _views(events)
+    assert doctor == top
+    assert {key: doctor[key] for key in expected} == expected
+
+
+#: One row per rule: events, then the answer both views must give.
+#: The first ten pin rules a trace leaves room for two readings of;
+#: the rest carry malformed field values, which are skipped, not fatal.
+RULES = [
+    pytest.param(
+        [{"ts": 1.0, "event": "shed", "fingerprint": "f1"}],
+        {"sheds": {"overload": 1}},
+        id="shed-without-cause",
+    ),
+    pytest.param(
+        [{"ts": 1.0, "event": "requeued", "by": "worker_sweep"}],
+        {"requeue_moves": 0},
+        id="requeued-without-count",
+    ),
+    pytest.param(
+        [{"ts": 1.0, "event": "done", "fingerprint": "f1", "error": ""}],
+        {"job_failures": 0},
+        id="done-with-empty-error",
+    ),
+    pytest.param(
+        [{"ts": 1.0, "event": "done", "fingerprint": "f1", "ok": True,
+          "error": "x"}],
+        {"job_failures": 1},
+        id="done-ok-with-error",
+    ),
+    pytest.param(
+        [{"ts": 1.0, "event": "heartbeat", "worker": "w1", "error": ""}],
+        {"heartbeat_errors": 0},
+        id="heartbeat-with-empty-error",
+    ),
+    pytest.param(
+        [{"ts": 1.0, "event": "released", "fingerprint": "f1"},
+         {"ts": 2.0, "event": "claimed", "fingerprint": "f1", "attempt": 1}],
+        {"redeliveries": {"released": 1, "lease_expired": 0}},
+        id="release-matched-by-fingerprint",
+    ),
+    pytest.param(
+        [{"ts": 1.0, "event": "submitted", "fingerprint": "f1"},
+         {"ts": 1.5, "event": "queued", "fingerprint": "f1"},
+         {"ts": 2.0, "event": "claimed", "fingerprint": "f1", "attempt": 0}],
+        {"queue_wait": (1, 1.0)},
+        id="queue-wait-from-submit",
+    ),
+    pytest.param(
+        [{"ts": 1.0, "event": "queued", "task_id": "t1"},
+         {"ts": 2.0, "event": "claimed", "task_id": "t1", "attempt": 0},
+         {"ts": 4.0, "event": "claimed", "task_id": "t1", "attempt": 1}],
+        {"queue_wait": (2, 1.0),
+         "redeliveries": {"released": 0, "lease_expired": 1}},
+        id="every-claim-samples-queue-wait",
+    ),
+    pytest.param(
+        [{"ts": 1.0, "event": "queued", "task_id": "t1"},
+         {"ts": 2.0, "event": "done", "task_id": "t1"},
+         {"ts": 3.0, "event": "claimed", "task_id": "t1", "attempt": 1}],
+        {"queue_wait": (0, 0.0)},
+        id="terminal-event-clears-queue-mark",
+    ),
+    pytest.param(
+        [{"ts": 1.0, "event": "claimed", "span_id": "c", "parent_span": "s"},
+         {"ts": 2.0, "event": "submitted", "span_id": "s"}],
+        {"max_depth": 2},
+        id="child-span-before-parent",
+    ),
+    pytest.param(
+        [{"ts": 1.0, "event": "done", "fingerprint": "f1", "seconds": "slow"}],
+        {"job_failures": 0},
+        id="done-seconds-not-a-number",
+    ),
+    pytest.param(
+        [{"ts": 1.0, "event": "solve", "fingerprint": "f1", "seconds": 0.5,
+          "timings": {"candidates": None}}],
+        {"job_failures": 0},
+        id="solve-timing-null",
+    ),
+    pytest.param(
+        [{"ts": 1.0, "event": "claimed", "task_id": "t1", "attempt": None}],
+        {"redeliveries": {"released": 0, "lease_expired": 0}},
+        id="claimed-attempt-null",
+    ),
+    pytest.param(
+        [{"ts": 1.0, "event": "requeued", "count": "3"}],
+        {"requeue_moves": 0},
+        id="requeued-count-string",
+    ),
+    pytest.param(
+        [{"ts": 1.0, "event": "worker_exit", "worker": "w1", "stats": [1, 2]}],
+        {"job_failures": 0},
+        id="worker-exit-stats-list",
+    ),
+    pytest.param(
+        [{"ts": 1.0, "event": "queued", "task_id": "t1"},
+         {"ts": None, "event": "claimed", "task_id": "t1", "attempt": 0}],
+        {"queue_wait": (1, 0.0)},
+        id="claimed-ts-null",
+    ),
+    pytest.param(
+        [{"ts": 1.0, "event": "claimed", "task_id": "t1", "attempt": "1"}],
+        {"redeliveries": {"released": 0, "lease_expired": 0}},
+        id="claimed-attempt-string",
+    ),
+]
+
+
 class TestLiveAggregator:
+    @pytest.mark.parametrize("events, expected", RULES)
+    def test_rule_table(self, events, expected):
+        _assert_views(events, expected)
+
     def test_snapshot_over_real_trace(self, tmp_path):
         path = tmp_path / "t.jsonl"
         run_batch([_job(2), _job(3)], workers=1, trace=str(path))
@@ -311,18 +449,14 @@ class TestLiveAggregator:
         assert "repro top" in text and "solve" in text
 
     def test_redelivery_attribution_matches_doctor(self):
-        events = [
-            {"ts": 1.0, "event": "released", "task_id": "t1"},
-            {"ts": 2.0, "event": "claimed", "task_id": "t1", "attempt": 1},
-            {"ts": 3.0, "event": "claimed", "task_id": "t2", "attempt": 1},
-        ]
-        aggregator = LiveAggregator()
-        aggregator.feed(events)
-        snap = aggregator.snapshot()
-        assert snap["taxonomy"]["redeliveries_released"] == 1
-        assert snap["taxonomy"]["redeliveries_lease_expired"] == 1
-        doctor = analyze_trace(events)["taxonomy"]["redeliveries"]
-        assert doctor == {"released": 1, "lease_expired": 1}
+        _assert_views(
+            [
+                {"ts": 1.0, "event": "released", "task_id": "t1"},
+                {"ts": 2.0, "event": "claimed", "task_id": "t1", "attempt": 1},
+                {"ts": 3.0, "event": "claimed", "task_id": "t2", "attempt": 1},
+            ],
+            {"redeliveries": {"released": 1, "lease_expired": 1}},
+        )
 
     @pytest.mark.parametrize(
         "reason, bucket",
@@ -340,11 +474,20 @@ class TestLiveAggregator:
         event = {"ts": 1.0, "event": "quarantined", "task_id": "t1"}
         if reason is not None:
             event["reason"] = reason
+        _assert_views([event], {"quarantines": {bucket: 1}})
+
+    def test_queue_depth_counts_each_job_once(self):
+        # A distributed job: submitted by fingerprint, queued by task id.
         aggregator = LiveAggregator()
-        aggregator.feed([event])
-        live = aggregator.snapshot()["taxonomy"]["quarantine_reasons"]
-        doctor = analyze_trace([event])["taxonomy"]["quarantines"]
-        assert live == doctor == {bucket: 1}
+        aggregator.feed([
+            {"ts": 1.0, "event": "submitted", "fingerprint": "f1"},
+            {"ts": 1.1, "event": "queued", "fingerprint": "f1", "task_id": "t1"},
+        ])
+        assert aggregator.snapshot()["queue_depth"] == 1
+        aggregator.feed([
+            {"ts": 2.0, "event": "claimed", "task_id": "t1", "attempt": 0},
+        ])
+        assert aggregator.snapshot()["queue_depth"] == 0
 
     def test_main_top_once_json(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"
@@ -354,6 +497,15 @@ class TestLiveAggregator:
         snap = json.loads(buffer.getvalue())
         assert snap["schema"] == TOP_SCHEMA
         assert snap["events"] > 0
+
+    def test_main_top_once_on_missing_path_is_an_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        missing = tmp_path / "missing.jsonl"
+        assert main(["top", str(missing), "--once", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no trace file at {missing}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +570,28 @@ class TestDoctorEdgeCases:
         aggregator.feed(TraceFollower([path]).poll())
         snap = aggregator.snapshot()
         assert snap["spans"]["events_with_span"] == 0
+        assert snap["stages"]["queue_wait"]["count"] == 1
+
+
+    def test_non_numeric_ts_lines_are_skipped(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"event": "queued", "ts": 1.0, "task_id": "t1"}\n'
+            '{"event": "done", "ts": null}\n'
+            '{"event": "done", "ts": "2"}\n'
+            '{"event": "queued", "ts": 1.0, "mono": "x", "task_id": "t2"}\n'
+            '{"event": "claimed", "ts": 3.0, "task_id": "t1"}\n',
+            encoding="utf-8",
+        )
+        assert main(["doctor", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["events"] == 3
+        assert report["latency"]["queue_wait"]["count"] == 1
+        assert main(["top", str(path), "--once", "--json"]) == 0
+        snap = json.loads(capsys.readouterr().out)
+        assert snap["events"] == 3
         assert snap["stages"]["queue_wait"]["count"] == 1
 
 
