@@ -233,13 +233,14 @@ def _abstract_traces_compiled(log, grouping, index, strategy):
             starts_emitted.append(new_event(f"{label}_s", start_attributes))
             attributes[LIFECYCLE_ATTRIBUTE] = "complete"
             events.append(new_event(f"{label}_c", attributes))
-        owners.append(stats.trace_ids)
+        trace_ids = stats.trace_ids
+        owners.append(trace_ids)
         places.append(stats.lasts)
         orders.append(np.ones(num_instances, dtype=np.int8))
         if starts_emitted:
             multi = counts > 1
             events.extend(starts_emitted)
-            owners.append(stats.trace_ids[multi])
+            owners.append(trace_ids[multi])
             places.append(stats.firsts[multi])
             orders.append(np.zeros(len(starts_emitted), dtype=np.int8))
     bounds = [0] * (len(log) + 1)

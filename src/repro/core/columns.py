@@ -689,9 +689,9 @@ def stack_instances(stats_list) -> StackedInstances:
     hit_base = 0
     for index, stats in enumerate(stats_list):
         starts, counts = stats.segments()
-        hits = np.asarray(stats.hit_ids, dtype=np.int64)
+        hits = stats.hit_ids
         hit_arrays.append(hits)
-        starts_arrays.append(starts + hit_base)
+        starts_arrays.append(starts.astype(np.int64) + hit_base)
         counts_arrays.append(counts)
         hit_base += int(hits.size)
         offsets[index + 1] = offsets[index] + counts.size

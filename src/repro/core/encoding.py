@@ -23,12 +23,14 @@ the hot path once per log:
   yields every (group, position) hit, and the three splitting policies
   (``repeat`` / ``none`` / ``gap``) become boolean boundary masks over
   the flat hit list.  The result per group is a
-  :class:`GroupInstances`: int64/float64 views into the sweep's arrays
-  (first/last position, event count, distinct classes, Eq. 1 cohesion
-  term per instance).  Eq. 1, the instance-constraint kernels, the
-  infeasibility diagnosis and Step 3 all read these arrays; the
-  reference ``(trace index, positions)`` form is materialized lazily,
-  only where a consumer needs Python lists.
+  :class:`GroupInstances`: int32 views into the sweep's kept arrays
+  (hit ids, instance starts and counts, distinct classes where they
+  differ from the counts; int64 for logs of 2**31 events or more).
+  Owning trace, first/last position and the Eq. 1 cohesion term are
+  derived from them on access.  Eq. 1, the instance-constraint
+  kernels, the infeasibility diagnosis and Step 3 all read these
+  arrays; the reference ``(trace index, positions)`` form is
+  materialized lazily, only where a consumer needs Python lists.
 * :class:`CompiledInstanceIndex` and :class:`CompiledDistanceFunction`
   are drop-in replacements for :class:`~repro.core.instances.InstanceIndex`
   and :class:`~repro.core.distance.DistanceFunction` built on top of
@@ -38,6 +40,9 @@ the hot path once per log:
   left to right by ``np.add.accumulate`` (sequential by definition,
   unlike the pairwise ``np.sum``) — which is what lets the beam search
   of Algorithm 2 produce the same candidate sets on either engine.
+  The index keeps the Eq. 1 values every distance function over it
+  computes, and drops its summaries past :data:`_INDEX_BYTE_BUDGET`,
+  so one index can serve every problem on its log.
 * :class:`CompiledDfgOps` mirrors the group-level DFG neighborhood API
   (``pre`` / ``post`` / ``exclusive`` / ``signature``) on class
   bitmasks so Algorithm 3's exclusive-candidate merging shares the
@@ -77,6 +82,14 @@ _BATCH_GROUPS = 256
 #: bound (mirrors ``_OCCURS_CACHE_LIMIT`` on ``EventLog``).
 _COOCCUR_CACHE_LIMIT = 1 << 17
 
+#: Bytes of cached instance summaries past which
+#: :meth:`CompiledInstanceIndex.prime` drops them all; a dropped summary
+#: is detected again on demand, so outputs cannot change.  The largest
+#: index a gated benchmark workload builds (bpic17 on ``long_logs``)
+#: holds about 17 MB, so 64 MiB leaves 4x headroom and no benchmark
+#: run resets.
+_INDEX_BYTE_BUDGET = 64 << 20
+
 
 def _require_numpy() -> None:
     if not HAVE_NUMPY:
@@ -89,65 +102,73 @@ def _require_numpy() -> None:
 class GroupInstances:
     """Summary of one group's instances in a log, as numpy arrays.
 
-    Parallel int64 arrays describe the instances in reference order
-    (ascending trace, then position): the owning trace index
-    (``trace_ids``), the first and last position within the trace, the
-    event count, the first hit (``starts``), the number of distinct
-    classes; ``cohesion`` holds each instance's float64 Eq. 1 cohesion
-    term.  ``positions`` holds the group's flat event positions and
-    ``hit_ids`` their global event indexes (into ``CompiledLog.all_ids``);
-    ``starts``/``counts`` slices of either are the instances.  All are
-    views into the arrays of the detection sweep that produced them.
-    The reference-format accessors :meth:`pairs` and
-    :meth:`distinct_list` build Python lists lazily.
+    Only what detection produces is kept, in the compiled log's index
+    dtype (int32 below 2**31 events, int64 otherwise): ``hit_ids``, the
+    group's global event indexes (into ``CompiledLog.all_ids``) in
+    reference order (ascending trace, then position); ``starts`` and
+    ``counts``, instance ``i`` being hits ``starts[i] : starts[i] +
+    counts[i]``; and ``distincts``, the distinct classes per instance,
+    which *is* ``counts`` wherever the two cannot differ.  All are views
+    into the arrays of the detection sweep that produced them.
+
+    ``trace_ids``, ``firsts``, ``lasts``, ``positions`` (int64) and
+    ``cohesion`` (float64) are derived on every access from the kept
+    arrays and the log's per-event trace and position tables, so a
+    consumer reads each once.  The reference-format accessors
+    :meth:`pairs` and :meth:`distinct_list` build Python lists lazily.
     """
 
-    ARRAYS = (
-        "trace_ids",
-        "firsts",
-        "lasts",
-        "counts",
-        "starts",
-        "distincts",
-        "cohesion",
-        "positions",
-        "hit_ids",
+    __slots__ = (
+        "hit_ids", "starts", "counts", "distincts", "_trace_of", "_local_of", "_pairs"
     )
-    __slots__ = ARRAYS + ("_pairs",)
 
-    def __init__(
-        self,
-        trace_ids,
-        firsts,
-        lasts,
-        counts,
-        starts,
-        distincts,
-        cohesion,
-        positions,
-        hit_ids,
-    ):
-        self.trace_ids = trace_ids
-        self.firsts = firsts
-        self.lasts = lasts
-        self.counts = counts
-        self.starts = starts
-        self.distincts = distincts
-        #: Eq. 1 cohesion term ``interrupts(ξ)/|ξ|`` per instance.
-        self.cohesion = cohesion
-        self.positions = positions
+    def __init__(self, hit_ids, starts, counts, distincts, trace_of, local_of):
         self.hit_ids = hit_ids
+        self.starts = starts
+        self.counts = counts
+        self.distincts = distincts
+        self._trace_of = trace_of
+        self._local_of = local_of
         self._pairs: list[tuple[int, list[int]]] | None = None
 
     def __len__(self) -> int:
         return len(self.counts)
 
+    @property
+    def trace_ids(self):
+        """The owning trace index of each instance."""
+        return self._trace_of[self.hit_ids[self.starts]]
+
+    @property
+    def firsts(self):
+        """Each instance's first position within its trace."""
+        return self._local_of[self.hit_ids[self.starts]]
+
+    @property
+    def lasts(self):
+        """Each instance's last position within its trace."""
+        return self._local_of[self.hit_ids[self.starts + self.counts - 1]]
+
+    @property
+    def positions(self):
+        """The group's flat event positions within their traces."""
+        return self._local_of[self.hit_ids]
+
+    @property
+    def cohesion(self):
+        """Eq. 1 cohesion term ``interrupts(ξ)/|ξ|`` per instance.
+
+        Interrupts are 0 for single-event instances; the reference
+        divides the same integers, so the floats are bitwise identical.
+        """
+        counts = self.counts
+        return np.where(counts >= 2, self.lasts - self.firsts + 1 - counts, 0) / counts
+
     def segments(self):
         """Instance segmentation over the flat hit list.
 
-        Returns ``(starts, counts)`` as int64 arrays: hits
-        ``starts[i] : starts[i] + counts[i]`` of :attr:`hit_ids` are
-        instance ``i``.
+        Returns ``(starts, counts)``: hits ``starts[i] : starts[i] +
+        counts[i]`` of :attr:`hit_ids` are instance ``i``.
         """
         return self.starts, self.counts
 
@@ -172,10 +193,9 @@ class GroupInstances:
 
 
 def _empty_instances() -> GroupInstances:
-    ints = np.zeros(0, dtype=np.int64)
-    return GroupInstances(
-        ints, ints, ints, ints, ints, ints, np.zeros(0), ints, ints
-    )
+    ints = np.zeros(0, dtype=np.int32)
+    table = np.zeros(0, dtype=np.int64)
+    return GroupInstances(ints, ints, ints, ints, table, table)
 
 
 _EMPTY_INSTANCES = _empty_instances() if HAVE_NUMPY else None
@@ -236,6 +256,8 @@ class CompiledLog:
         self._local_of_event = np.arange(total_events, dtype=np.int64) - np.repeat(
             self.offsets[:-1], lengths
         )
+        #: dtype of the arrays instance summaries keep (event indexes fit).
+        self._index_dtype = np.int32 if total_events < 2**31 else np.int64
         # Sorted (class, trace) keys: equal neighbours are one class
         # recurring in one trace.
         width = max(self.num_traces, 1)
@@ -505,7 +527,6 @@ class CompiledLog:
                 results[base + row] = _EMPTY_INSTANCES
             return 0
         trace_of = self._trace_of_event[event_idx]
-        local = self._local_of_event[event_idx]
 
         # One segment per (group, trace) pair; instances never span
         # segments, so every policy starts from the segment boundaries.
@@ -529,62 +550,54 @@ class CompiledLog:
         elif policy == "none":
             boundaries = seg_change
         else:  # policy == "gap"
+            local = self._local_of_event[event_idx]
             boundaries = seg_change.copy()
             gap_split = (local[1:] - local[:-1] - 1) > gap_limit
             boundaries[1:] |= gap_split & ~seg_change[1:]
 
         inst_starts = np.flatnonzero(boundaries)
-        num_instances = inst_starts.size
-        counts = np.diff(inst_starts, append=total)
-
-        if policy == "repeat" or not has_repeats:
-            # ``repeat`` instances are all-distinct by construction; for
-            # the other policies a repeat-free batch is too.
-            distincts = counts
-        else:
-            distincts = counts - self._duplicates_per_instance(
+        dtype = self._index_dtype
+        counts = np.diff(inst_starts, append=total).astype(dtype)
+        # ``repeat`` instances are all-distinct by construction; for the
+        # other policies a repeat-free batch is too.
+        distincts = counts
+        if policy != "repeat" and has_repeats:
+            duplicates = self._duplicates_per_instance(
                 group_idx,
                 trace_of,
                 repeat_candidates,
                 event_idx,
                 boundaries,
                 inst_starts,
-                num_instances,
+                inst_starts.size,
             )
+            if duplicates.any():
+                distincts = counts - duplicates.astype(dtype)
 
-        firsts = local[inst_starts]
-        lasts = local[inst_starts + counts - 1]
-        # Cohesion term per instance: interrupts/|ξ|, with interrupts
-        # defined as 0 for single-event instances (reference divides the
-        # same integers, so the floats are bitwise identical).
-        cohesion = np.where(counts >= 2, lasts - firsts + 1 - counts, 0) / counts
         inst_group = group_idx[inst_starts]
-        inst_trace = trace_of[inst_starts]
-
         bounds = self._row_bounds[: len(batch) + 1]
         hit_bounds = np.searchsorted(group_idx, bounds)
         inst_bounds = np.searchsorted(inst_group, bounds).tolist()
-        starts = inst_starts - hit_bounds[inst_group]  # from the group's first hit
+        # From the group's first hit.
+        starts = (inst_starts - hit_bounds[inst_group]).astype(dtype)
+        hit_ids = event_idx.astype(dtype, copy=False)
         hit_bounds = hit_bounds.tolist()
+        tables = self._trace_of_event, self._local_of_event
         for row in range(len(batch)):
             i0, i1 = inst_bounds[row], inst_bounds[row + 1]
             if i0 == i1:
                 results[base + row] = _EMPTY_INSTANCES
             else:
                 h0, h1 = hit_bounds[row], hit_bounds[row + 1]
+                row_counts = counts[i0:i1]
                 results[base + row] = GroupInstances(
-                    inst_trace[i0:i1],
-                    firsts[i0:i1],
-                    lasts[i0:i1],
-                    counts[i0:i1],
+                    hit_ids[h0:h1],
                     starts[i0:i1],
-                    distincts[i0:i1],
-                    cohesion[i0:i1],
-                    local[h0:h1],
-                    event_idx[h0:h1],
+                    row_counts,
+                    row_counts if distincts is counts else distincts[i0:i1],
+                    *tables,
                 )
-        arrays = (inst_trace, firsts, lasts, counts, starts, distincts, cohesion)
-        return _buffer_bytes(arrays + (local, event_idx))
+        return _buffer_bytes((hit_ids, starts, counts, distincts))
 
     def _repeat_boundaries(
         self, seg_change, repeat_candidates, has_repeats, event_idx
@@ -670,7 +683,9 @@ class CompiledInstanceIndex(InstanceIndex):
     ``positions`` / ``events`` / ``count`` keep their reference
     semantics (and exact output format); detection runs through the
     vectorized batch path, and :meth:`prime` lets the beam search
-    extract a whole frontier of groups in one sweep.
+    extract a whole frontier of groups in one sweep.  What it caches
+    (the summaries, bounded in bytes, and :attr:`eq1`) is a pure function
+    of (log, group, policy), so one index serves every problem on its log.
     """
 
     def __init__(
@@ -686,6 +701,10 @@ class CompiledInstanceIndex(InstanceIndex):
         self.compiled = compiled or CompiledLog(log)
         self._stats_cache: dict[frozenset[str], GroupInstances] = {}
         self._nbytes = 0
+        #: Eq. 1 value per group; resets at ``_COOCCUR_CACHE_LIMIT`` entries.
+        self.eq1: dict[frozenset[str], float] = {}
+        #: How often :meth:`prime` dropped the summaries at the byte budget.
+        self.resets = 0
 
     def stats(self, group: frozenset[str]) -> GroupInstances:
         """The group's instance summary (cached)."""
@@ -697,7 +716,16 @@ class CompiledInstanceIndex(InstanceIndex):
         return cached
 
     def prime(self, groups: Sequence[frozenset[str]]) -> None:
-        """Batch-detect all not-yet-cached groups in one vectorized sweep."""
+        """Batch-detect all not-yet-cached groups in one vectorized sweep.
+
+        Past :data:`_INDEX_BYTE_BUDGET` cached bytes, it first drops every
+        summary and the event lists materialized from them.
+        """
+        if self._nbytes > _INDEX_BYTE_BUDGET:
+            self._stats_cache.clear()
+            self._events_cache.clear()
+            self._nbytes = 0
+            self.resets += 1
         missing = [group for group in groups if group not in self._stats_cache]
         if not missing:
             return
@@ -725,10 +753,12 @@ class CompiledInstanceIndex(InstanceIndex):
     def nbytes(self) -> int:
         """Bytes held by the cached instance summaries.
 
-        A summary's arrays are views into the arrays of the detection
-        sweep that produced it, shared by every group of that sweep; the
-        count grows by each sweep's buffers once, as its summaries are
-        cached.  Lazily built reference lists are not counted.
+        A summary's kept arrays are views into the arrays of the
+        detection sweep that produced it, shared by every group of that
+        sweep; the count grows by each sweep's kept buffers once, as its
+        summaries are cached, and returns to 0 when :meth:`prime` drops
+        them.  Derived arrays and lazily built reference lists are not
+        counted.
         """
         return self._nbytes
 
@@ -743,7 +773,7 @@ def _eq1_from_stats(stats: GroupInstances, size: int) -> float:
     its last element is the reference loop's total bit for bit
     (``np.sum`` and ``reduceat`` sum pairwise and are not).
     """
-    num_instances = len(stats.counts)
+    num_instances = len(stats)
     if num_instances == 0:
         return 1.0 / size
     terms = np.empty(2 * num_instances)
@@ -760,7 +790,9 @@ class CompiledDistanceFunction(DistanceFunction):
     (:meth:`prime`); the remaining per-instance accumulation replays the
     reference implementation's arithmetic on plain integers, keeping the
     returned floats bitwise identical so the beam ordering of
-    Algorithm 2 is preserved exactly.
+    Algorithm 2 is preserved exactly.  The memo is the index's
+    :attr:`~CompiledInstanceIndex.eq1`, so every distance function over
+    one index shares its values.
     """
 
     def __init__(self, log: EventLog, instance_index: CompiledInstanceIndex | None = None):
@@ -771,6 +803,13 @@ class CompiledDistanceFunction(DistanceFunction):
                 "CompiledDistanceFunction requires a CompiledInstanceIndex"
             )
         super().__init__(log, instance_index)
+        self._cache = instance_index.eq1
+
+    def _remember(self, group: frozenset[str], value: float) -> None:
+        """Memoize one value, resetting the shared memo at its size bound."""
+        if len(self._cache) >= _COOCCUR_CACHE_LIMIT:
+            self._cache.clear()
+        self._cache[group] = value
 
     @property
     def _singletons_are_unit(self) -> bool:
@@ -795,7 +834,7 @@ class CompiledDistanceFunction(DistanceFunction):
             if group in self._cache or group in seen:
                 continue
             if singleton_unit and len(group) == 1:
-                self._cache[group] = 1.0
+                self._remember(group, 1.0)
                 continue
             seen.add(group)
             missing.append(group)
@@ -803,8 +842,8 @@ class CompiledDistanceFunction(DistanceFunction):
             return
         self.instances.prime(missing)
         for group in missing:
-            self._cache[group] = _eq1_from_stats(
-                self.instances.stats(group), len(group)
+            self._remember(
+                group, _eq1_from_stats(self.instances.stats(group), len(group))
             )
 
     def costs(self, groups: Sequence[Iterable[str]]) -> list[float]:
@@ -824,7 +863,7 @@ class CompiledDistanceFunction(DistanceFunction):
             value = 1.0
         else:
             value = _eq1_from_stats(self.instances.stats(group), len(group))
-        self._cache[group] = value
+        self._remember(group, value)
         return value
 
 

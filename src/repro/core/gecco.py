@@ -36,10 +36,13 @@ Typical use::
   cross-check results, to debug, or on deployments without ``numpy``.
 
 **Artifact sharing.**  The expensive per-log artifacts (the compiled
-log, the instance index, and the DFG) depend only on the log, the
-instance policy, and the engine — not on the constraints.  Callers that
-solve many problems on the same log (the service runtime of
-:mod:`repro.service`, the experiment runner) build them once with
+log, the instance index with its Eq. 1 values, and the DFG) depend only
+on the log, the instance policy, and the engine — not on the
+constraints.  On the compiled engine :meth:`Gecco.abstract` keeps them
+on the log object, a derived view like ``EventLog.classes``, so every
+later call on that log with the same instance policy reuses them.
+Callers that hold logs by content rather than by object (the service
+runtime of :mod:`repro.service`) build them with
 :func:`prepare_artifacts` and pass them to :meth:`Gecco.abstract`.
 """
 
@@ -249,8 +252,11 @@ class PipelineArtifacts:
     the compiled encoding, the instance index, and the DFG depend only
     on ``(log, instance_policy, engine)``.  :meth:`Gecco.abstract`
     accepts a prebuilt instance so that batch callers (the
-    :mod:`repro.service` runtime, the experiment runner) pay the cost
-    once per log instead of once per job.
+    :mod:`repro.service` runtime) pay the cost once per log instead of
+    once per job; without one, the compiled engine keeps the bundle it
+    builds on the log object for the next call.  A bundle is never
+    edited: a kept one is rebuilt after ``EventLog.append`` or
+    ``Trace.append``.
     """
 
     engine: str
@@ -384,7 +390,13 @@ class Gecco:
 
         ``artifacts`` may carry prebuilt per-log artifacts (from
         :func:`prepare_artifacts`); they must match the configuration's
-        instance policy and effective engine.  ``selection_cache`` is an
+        instance policy and effective engine.  Without them the compiled
+        engine keeps the artifacts it builds on ``log`` and reuses them
+        on later calls with the same instance policy; those calls see
+        ``EventLog.append`` and ``Trace.append`` but, like
+        ``EventLog.classes``, no in-place edit of an event's class or
+        attributes.  The python engine builds fresh artifacts on every
+        call.  ``selection_cache`` is an
         optional :class:`~repro.service.cache.ArtifactCache` whose
         selection tier memoizes solved Step-2 components across jobs
         (the service runtime passes its per-worker cache here).
@@ -406,7 +418,7 @@ class Gecco:
         if deadline is not None:
             deadline.check("pipeline start")
         if artifacts is None:
-            artifacts = prepare_artifacts(log, config)
+            artifacts = self._log_artifacts(log)
         else:
             expected = resolve_engine(config.engine)
             if (
@@ -553,6 +565,23 @@ class Gecco:
         )
 
     # -- helpers ------------------------------------------------------------
+
+    def _log_artifacts(self, log: EventLog) -> PipelineArtifacts:
+        """The artifacts of ``log``: on the compiled engine, from the log's
+        memo (by instance policy).  A first build, or a memo built at other
+        trace or event counts, starts from fresh derived views."""
+        config = self.config
+        if resolve_engine(config.engine, warn=False) != "compiled":
+            return prepare_artifacts(log, config)
+        built = next(iter(log._artifacts.values()), None)
+        counts = (len(log), sum(map(len, log.traces)))
+        if built is None or (built.compiled.num_traces, built.compiled.all_ids.size) != counts:
+            log._invalidate()  # a ``Trace.append`` is invisible to the log
+        memo = log._artifacts
+        artifacts = memo.get(config.instance_policy)
+        if artifacts is None:
+            artifacts = memo[config.instance_policy] = prepare_artifacts(log, config)
+        return artifacts
 
     def _selection_stats(self, selection, num_candidates: int):
         """The Step-2 stats record (built here for monolithic solves)."""

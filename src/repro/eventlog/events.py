@@ -243,7 +243,10 @@ class EventLog(Sequence[Trace]):
     and per-class trace membership (used for the ``occurs`` co-occurrence
     check of Algorithms 1 and 2).  These views are computed lazily and
     cached; mutating the trace list through :meth:`append` invalidates
-    the caches.
+    the caches.  :meth:`repro.core.gecco.Gecco.abstract` keeps its
+    compiled artifacts here too and also sees a ``Trace.append``; no view
+    sees an in-place edit of an event.  A log pickles as its traces and
+    attributes only.
     """
 
     __slots__ = (
@@ -253,6 +256,7 @@ class EventLog(Sequence[Trace]):
         "_class_counts",
         "_traces_by_class",
         "_group_trace_sets",
+        "_artifacts",
     )
 
     def __init__(
@@ -272,6 +276,18 @@ class EventLog(Sequence[Trace]):
         self._class_counts: dict[str, int] | None = None
         self._traces_by_class: dict[str, frozenset[int]] | None = None
         self._group_trace_sets: dict[frozenset[str], frozenset[int]] = {}
+        # Pipeline artifacts by instance policy, owned by ``Gecco.abstract``.
+        self._artifacts: dict = {}
+
+    def __getstate__(self):
+        return {"traces": self.traces, "attributes": self.attributes}
+
+    def __setstate__(self, state):
+        if isinstance(state, tuple):  # ``(None, slots)``: pickled with every view
+            state = state[1]
+        self.traces = state["traces"]
+        self.attributes = state["attributes"]
+        self._invalidate()
 
     # -- sequence protocol -------------------------------------------------
 

@@ -186,13 +186,16 @@ def run_experiment(
     e.g. BL3 on logs without class-level attributes) are skipped, as in
     the paper.
 
-    ``executor`` optionally routes the GECCO cells of the grid through a
-    :mod:`repro.service` executor (e.g. a
-    :class:`~repro.service.executor.PoolExecutor`): every (log ×
-    constraint set × configuration) cell becomes an
+    Without an executor the cells run in-process on the given log
+    objects, so every cell on a log with the same instance policy
+    reuses the artifacts the first one compiled (see
+    :meth:`~repro.core.gecco.Gecco.abstract`).  ``executor`` optionally
+    routes the GECCO cells of the grid through a :mod:`repro.service`
+    executor (e.g. a :class:`~repro.service.executor.PoolExecutor`):
+    every (log × constraint set × configuration) cell becomes an
     :class:`~repro.service.jobs.AbstractionJob`, so the grid fans out
-    across cores and per-log artifacts are shared between cells instead
-    of being recomputed per cell.  Baseline approaches always run
+    across cores and each worker shares per-log artifacts between its
+    cells through its artifact cache.  Baseline approaches always run
     in-process.  Row order matches the sequential path; ``seconds`` of
     executor rows is the pipeline time measured inside the job
     (:attr:`~repro.core.gecco.StepTimings.total`), not parent wall time.

@@ -105,15 +105,22 @@ def solve_component_task(
         time_limit=time_limit,
         deadline=deadline,
     )
-    # Cache only proofs (optimality / infeasibility) — those hold for
-    # any time budget.  A timeout or solver error must not poison the
-    # long-lived selection tier: the key has no time-limit component.
-    if cache is not None and solution.status in (
+    if cache is not None:
+        _store_proof(cache, key, solution)
+    return solution, False
+
+
+def _store_proof(cache, key: str, solution) -> None:
+    """Put a proved cell (optimal or infeasible) into the selection tier.
+
+    Proofs hold for any time budget.  A timeout or solver error must not
+    poison the long-lived tier: the key has no time-limit component.
+    """
+    if solution.status in (
         SolverStatus.OPTIMAL.value,
         SolverStatus.INFEASIBLE.value,
     ):
         cache.put_selection(key, solution)
-    return solution, False
 
 
 def _infeasible(
@@ -165,12 +172,18 @@ def _run_tasks(
     stats: SelectionStats,
     deadline=None,
 ) -> "list[portfolio.ComponentSolution]":
-    """Solve all task cells, in parallel when an executor is available."""
+    """Solve all task cells, in parallel when an executor is available.
+
+    Each cell is looked up in ``cache`` once, here, and stored once solved.
+    """
     solutions: list = [None] * len(tasks)
+    keys: list = [None] * len(tasks)
     pending: list[int] = []
     for position, (component, min_count, max_count) in enumerate(tasks):
         if cache is not None:
-            key = component_cache_key(component, min_count, max_count, backend)
+            key = keys[position] = component_cache_key(
+                component, min_count, max_count, backend
+            )
             hit = cache.get_selection(key)
             if hit is not None:
                 solutions[position] = hit
@@ -211,25 +224,20 @@ def _run_tasks(
                 else:
                     stats.record_solution(solution)
                 solutions[position] = solution
-                if cache is not None and solution.status in (
-                    SolverStatus.OPTIMAL.value,
-                    SolverStatus.INFEASIBLE.value,
-                ):
-                    component, min_count, max_count = tasks[position]
-                    cache.put_selection(
-                        component_cache_key(component, min_count, max_count, backend),
-                        solution,
-                    )
+                if cache is not None:
+                    _store_proof(cache, keys[position], solution)
         else:
             for position in pending:
                 component, min_count, max_count = tasks[position]
                 solution, _hit = solve_component_task(
                     component, min_count, max_count, backend, time_limit,
-                    cache=cache, deadline=deadline,
+                    deadline=deadline,
                 )
                 _deadline_guard(solution, deadline)
                 stats.record_solution(solution)
                 solutions[position] = solution
+                if cache is not None:
+                    _store_proof(cache, keys[position], solution)
     finally:
         if own_executor:
             executor.shutdown()

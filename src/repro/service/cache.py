@@ -180,7 +180,8 @@ class ArtifactCache:
         Artifact-tier capacity (per-log bundles are large: the compiled
         log — arrays, flat event list and attribute columns — is
         ``CompiledLog.nbytes`` bytes, and the instance index grows with
-        use to many times that — keep this small).
+        use up to its byte budget of 64 MiB, past which it drops its
+        summaries — keep this small).
     max_results:
         Result-tier capacity.
     max_selections:
@@ -660,16 +661,22 @@ class ArtifactCache:
         running count, by far the larger part once jobs have run); DFGs,
         the events themselves and the pure-Python engine's indexes are
         excluded.  Neither count walks the cached summaries.
+        ``index_resets`` sums the times those indexes dropped their
+        summaries at their byte budget
+        (:attr:`~repro.core.encoding.CompiledInstanceIndex.resets`).
         """
         with self._lock:
             data = self.stats.as_dict()
             data["resident_results"] = len(self._results)
             data["resident_artifacts"] = len(self._artifacts)
             data["resident_selections"] = len(self._selections)
-            resident_bytes = 0
+            resident_bytes = resets = 0
             for bundle in self._artifacts.values():
                 for part in ("compiled", "instance_index"):
                     owner = getattr(bundle, part, None)
                     resident_bytes += getattr(owner, "nbytes", 0) or 0
+                index = getattr(bundle, "instance_index", None)
+                resets += getattr(index, "resets", 0)
             data["resident_artifact_bytes"] = resident_bytes
+            data["index_resets"] = resets
             return data

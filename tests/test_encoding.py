@@ -132,7 +132,12 @@ class TestCompiledInstanceIndex:
         index = CompiledInstanceIndex(running_log)
         group = frozenset({"ckc", "ckt", "rcp"})
         stats = index.stats(group)
-        for name in ("trace_ids", "firsts", "lasts", "counts", "distincts"):
+        # Kept arrays are int32 (the log has < 2**31 events); derived
+        # ones come from the int64 per-event tables.
+        for name in ("hit_ids", "starts", "counts", "distincts"):
+            assert getattr(stats, name).dtype.name == "int32"
+        assert stats.distincts is stats.counts  # ``repeat``: all distinct
+        for name in ("trace_ids", "firsts", "lasts", "positions"):
             assert getattr(stats, name).dtype.name == "int64"
         assert stats.cohesion.dtype.name == "float64"
         pairs = index.positions(group)

@@ -144,10 +144,10 @@ def _reference_timestamps(log):
 
 
 def _recount_index_bytes(index):
-    """The full walk ``CompiledInstanceIndex.nbytes`` used to make."""
+    """A full walk over the buffers the cached summaries keep."""
     buffers = {}
     for stats in index._stats_cache.values():
-        for name in type(stats).ARRAYS:
+        for name in ("hit_ids", "starts", "counts", "distincts"):
             array = getattr(stats, name)
             while isinstance(array.base, np.ndarray):
                 array = array.base
@@ -448,13 +448,18 @@ def _all_groups(classes, extra=()):
     return groups + [frozenset(group) for group in extra]
 
 
-def test_repeat_split_matches_the_walk_on_random_logs():
+def _random_logs():
+    """The 120 seeded random logs, each with all groups of its alphabet."""
     rng = random.Random(2102)
-    repeats_seen = 0
     for _ in range(120):
         alphabet = "abcdefgh"[: rng.randint(1, 8)]
         log = _random_log(rng, alphabet)
-        groups = _all_groups(alphabet, extra=[{"a", "zz"}, {"zz"}])
+        yield log, _all_groups(alphabet, extra=[{"a", "zz"}, {"zz"}])
+
+
+def test_repeat_split_matches_the_walk_on_random_logs():
+    repeats_seen = 0
+    for log, groups in _random_logs():
         repeats_seen += sum(_assert_split_identical(log, groups))
     assert repeats_seen > 50
 
@@ -486,6 +491,55 @@ def test_repeat_split_beyond_64_classes():
     groups = [frozenset(rng.sample(alphabet, rng.randint(1, 30))) for _ in range(60)]
     groups += [frozenset(alphabet[:5]), frozenset(alphabet)]
     assert any(_assert_split_identical(log, groups))
+
+
+# -- derived summary arrays -----------------------------------------------
+
+
+def _sweep_formulas(compiled, stats):
+    """The arrays the detection sweep built per group before they were
+    derived: gathers of the per-event tables at every hit, read at the
+    instance boundaries, on int64 throughout."""
+    hits = stats.hit_ids.astype(np.int64)
+    starts = stats.starts.astype(np.int64)
+    counts = stats.counts.astype(np.int64)
+    local = compiled._local_of_event[hits]
+    firsts = local[starts]
+    lasts = local[starts + counts - 1]
+    return {
+        "trace_ids": compiled._trace_of_event[hits][starts],
+        "firsts": firsts,
+        "lasts": lasts,
+        "positions": local,
+        "cohesion": np.where(counts >= 2, lasts - firsts + 1 - counts, 0) / counts,
+    }
+
+
+@pytest.mark.parametrize("policy", ["repeat", "none", "gap"])
+def test_derived_arrays_match_the_sweep_formulas(policy):
+    split_distincts = 0
+    for log, groups in _random_logs():
+        compiled = CompiledLog(log)
+        for group, stats in zip(groups, compiled.stats_batch(groups, policy)):
+            for name, expected in _sweep_formulas(compiled, stats).items():
+                derived = getattr(stats, name)
+                assert derived.dtype == expected.dtype, name
+                assert derived.tobytes() == expected.tobytes(), (name, sorted(group))
+            split_distincts += stats.distincts is not stats.counts
+    assert (split_distincts > 0) == (policy != "repeat")
+
+
+def test_summaries_widen_to_int64_past_two_billion_events():
+    log = build_log(TABLE_III_SPECS[2], max_traces=40)
+    groups = _all_groups(sorted(log.classes)[:6])
+    narrow = CompiledLog(log)
+    wide = CompiledLog(log)
+    wide._index_dtype = np.int64  # what a log of 2**31 events or more gets
+    for small, large in zip(narrow.stats_batch(groups, "gap"), wide.stats_batch(groups, "gap")):
+        assert small.hit_ids.dtype.name == "int32" and large.hit_ids.dtype.name == "int64"
+        assert small.pairs() == large.pairs()
+        assert small.distinct_list() == large.distinct_list()
+        assert small.cohesion.tobytes() == large.cohesion.tobytes()
 
 
 # -- byte accounting ------------------------------------------------------

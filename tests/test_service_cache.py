@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.constraints import ConstraintSet, MaxGroupSize
+from repro.constraints import ConstraintSet, MaxGroups, MaxGroupSize
 from repro.service import ArtifactCache, LogRef, AbstractionJob, run_job
 from repro.service.serialization import result_signature
 
@@ -172,6 +172,30 @@ class TestSelectionTier:
         run_job(job_for(4), cache)
         assert cache.stats.selection.stores > 0
         assert cache.snapshot()["resident_selections"] > 0
+
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_each_component_looked_up_once(self, tmp_path, on_disk):
+        cache = ArtifactCache(disk_dir=tmp_path if on_disk else None)
+        log = LogRef.builtin("running_example")
+        hits = misses = 0
+        # The running example has 8 classes: sizes 8 and 9 give the
+        # same candidates, so the last job's Step 2 repeats the first's.
+        for constraints in (
+            [MaxGroupSize(8), MaxGroups(3)],
+            [MaxGroupSize(8), MaxGroups(4)],
+            [MaxGroupSize(3)],
+            [MaxGroupSize(9), MaxGroups(3)],
+        ):
+            job = AbstractionJob(log=log, constraints=ConstraintSet(constraints))
+            result, _ = run_job(job, cache)
+            hits += result.selection_stats.cache_hits
+            misses += result.selection_stats.cache_misses
+        assert hits and misses
+        assert (cache.stats.selection.hits, cache.stats.selection.misses) == (hits, misses)
+        if on_disk:
+            # Each job misses the result tier once; no disk entry predates it.
+            assert cache.stats.disk.misses == misses + 4
+        assert cache.snapshot()["index_resets"] == 0
 
 
 class TestSelectionDiskStore:
