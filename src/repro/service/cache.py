@@ -21,7 +21,7 @@ Three tiers, all content-addressed by components of the job fingerprint
   across jobs.  When a disk store is configured, *proved* cells
   (optimal / infeasible — never timeouts or solver errors, which must
   not poison a persistent tier) are also written under
-  ``selection/<digest>.json`` and survive restarts.
+  ``selection/<2ch>/<digest>.json`` and survive restarts.
 
 The on-disk store accepts optional **budgets**: a TTL (entries older
 than ``disk_ttl`` seconds since last use are expired on read and on
@@ -33,10 +33,14 @@ selection cells each honor the configured limits independently (total
 disk use is bounded by twice the byte budget), so a burst of tiny
 selection cells can never evict expensive finished results.
 
-All memory tiers are bounded LRU maps; hit/miss/eviction counters are
-kept per tier and surface in batch reports and executor ``stats()``.
-All operations are thread-safe (the pool executor's completion
-callbacks run on a helper thread).
+Every tier is one :class:`_Tier`: a bounded LRU map with per-tier
+hit/miss/eviction counters (they surface in batch reports and executor
+``stats()``) that the two persisted tiers back with sealed JSON files
+under their :data:`STORE_TIERS` directory.  This module owns that
+layout: ``repro fsck`` scans a store through :data:`STORE_TIERS`,
+:func:`store_entries` and :func:`quarantine_store_entry`.  All
+operations are thread-safe (the pool executor's completion callbacks
+run on a helper thread).
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from repro.core.gecco import AbstractionResult
 from repro.experiments.persistence import read_json, write_json_atomic
@@ -105,6 +110,48 @@ def _selection_from_dict(payload: dict):
         lp_cuts=int(payload.get("lp_cuts", 0)),
         canonical=bool(payload.get("canonical", True)),
     )
+
+
+#: The persisted tiers of a disk store: tier name -> ``(directory,
+#: encode, decode)``.  Entries live at ``<directory>/<2ch>/<key>.json``
+#: (``""`` is the store root); ``encode`` returns a value's JSON payload,
+#: or ``None`` for a value that must not persist, and ``decode`` rebuilds
+#: a value from a payload (raising on a foreign one).
+STORE_TIERS = {
+    "results": ("", result_to_dict, result_from_dict),
+    "selection": ("selection", _selection_to_dict, _selection_from_dict),
+}
+
+
+def store_entries(root: Path, directory: str):
+    """The persisted entries of the tier stored under ``root / directory``.
+
+    The root tier's two-level glob cannot match the three-level
+    selection layout, and quarantined files carry a ``.bad`` suffix, so
+    the :data:`STORE_TIERS` globs partition the store.
+    """
+    return (Path(root) / directory).glob("*/*.json")
+
+
+def quarantine_store_entry(root: Path, path: Path) -> bool:
+    """Move a corrupt store entry to ``<root>/quarantine/<name>.bad``.
+
+    Quarantined files keep their content (the ``.bad`` suffix keeps the
+    tier globs from picking them up again) for post-mortem while the
+    original slot is freed — the next put repairs it, so a corrupt
+    entry costs exactly one recomputation.  When the move fails the
+    entry is deleted instead; returns whether the slot was freed.
+    """
+    quarantine = Path(root) / "quarantine"
+    try:
+        quarantine.mkdir(parents=True, exist_ok=True)
+        os.replace(path, quarantine / (path.name + ".bad"))
+    except OSError:
+        try:
+            path.unlink()
+        except OSError:
+            return False
+    return True
 
 
 @dataclass
@@ -171,6 +218,31 @@ class CacheStats:
         self.disk_quarantined += getattr(other, "disk_quarantined", 0)
 
 
+@dataclass
+class _Tier:
+    """One cache tier: a bounded LRU map, optionally persisted on disk.
+
+    ``directory`` is the tier's :data:`STORE_TIERS` directory (``""`` is
+    the store root) and ``None`` keeps the tier in memory only;
+    ``encode``/``decode`` are its :data:`STORE_TIERS` converters.
+    ``footprint`` estimates the tier's ``(entries, bytes)`` on disk in
+    this process: ``None`` until a budget sweep seeds it, then grown by
+    every write, so puts skip the glob+stat sweep while clearly under
+    budget (best-effort across processes: each process sweeps once its
+    own estimate crosses the configured bounds).
+    """
+
+    name: str
+    capacity: int
+    stats: TierStats
+    directory: str | None = None
+    encode: Callable | None = None
+    decode: Callable | None = None
+    entries: OrderedDict = field(default_factory=OrderedDict)
+    footprint: tuple[int, int] | None = None
+    last_sweep: float = 0.0
+
+
 class ArtifactCache:
     """Bounded, thread-safe, two-tier cache keyed by fingerprint parts.
 
@@ -226,31 +298,25 @@ class ArtifactCache:
             raise ValueError("disk_max_entries must be >= 1")
         if disk_max_bytes is not None and disk_max_bytes < 1:
             raise ValueError("disk_max_bytes must be >= 1")
-        self._artifacts: OrderedDict[tuple, object] = OrderedDict()
-        self._results: OrderedDict[str, AbstractionResult] = OrderedDict()
-        self._selections: OrderedDict[str, object] = OrderedDict()
-        self._max_artifacts = max_artifacts
-        self._max_results = max_results
-        self._max_selections = max_selections
         self._disk_dir = Path(disk_dir) if disk_dir is not None else None
         self._disk_ttl = disk_ttl
         self._disk_max_entries = disk_max_entries
         self._disk_max_bytes = disk_max_bytes
+        budgets = (disk_ttl, disk_max_entries, disk_max_bytes)
+        self._budgeted = any(bound is not None for bound in budgets)
         self._disk_retry = disk_retry if disk_retry is not None else _DISK_WRITE_RETRY
         # Injection point for the atomic JSON writer — chaos tests swap
         # in a fault injector (ENOSPC, torn writes); see
         # :class:`repro.service.dist.chaos.DiskFaultInjector`.
         self._disk_writer = disk_writer if disk_writer is not None else write_json_atomic
-        # In-process footprint estimate of the selection tier,
-        # ``(entries, bytes)``; ``None`` until the first enforcement
-        # sweep seeds it from disk.  Lets a decomposed run that stores
-        # many tiny proved cells skip the glob+stat sweep while clearly
-        # under budget (best-effort across processes: each process
-        # sweeps once its own estimate crosses the configured bounds).
-        self._selection_footprint: tuple[int, int] | None = None
-        self._last_selection_ttl_sweep = 0.0
         self._lock = threading.Lock()
         self.stats = CacheStats()
+        persisted = STORE_TIERS if disk_dir is not None else {}
+        self._artifacts = _Tier("artifacts", max_artifacts, self.stats.artifacts)
+        self._results = _Tier("results", max_results, self.stats.results,
+                              *persisted.get("results", ()))
+        self._selections = _Tier("selection", max_selections, self.stats.selection,
+                                 *persisted.get("selection", ()))
         #: Stale ``*.tmp`` staging files deleted by the startup sweep —
         #: writers killed between ``mkstemp`` and ``os.replace`` leak
         #: them; sweeping only files older than five minutes keeps a
@@ -273,220 +339,70 @@ class ArtifactCache:
         if tracer is not None:
             tracer.emit("cache_hit", tier=tier, key=str(key))
 
-    def _quarantine_disk_entry(self, path: Path) -> None:
-        """Move a corrupt disk entry to ``<disk_dir>/quarantine/``.
-
-        Quarantined files keep their content (suffixed ``.bad`` so the
-        tier globs never pick them up again) for post-mortem while the
-        original slot is freed — the next put repairs it, so a corrupt
-        entry costs exactly one recomputation.  ``repro fsck`` reports
-        and ages them out.
-        """
-        quarantine = self._disk_dir / "quarantine"
-        try:
-            quarantine.mkdir(parents=True, exist_ok=True)
-            os.replace(path, quarantine / (path.name + ".bad"))
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                return
-        with self._lock:
-            self.stats.disk_quarantined += 1
-
-    # -- artifact tier (log-prefix keyed) ---------------------------------
+    # -- the tiers -----------------------------------------------------------
 
     def get_artifacts(self, key: tuple):
         """Look up the per-log artifact bundle for a prefix ``key``."""
-        with self._lock:
-            bundle = self._artifacts.get(key)
-            if bundle is None:
-                self.stats.artifacts.misses += 1
-                return None
-            self._artifacts.move_to_end(key)
-            self.stats.artifacts.hits += 1
-        self._trace_hit("artifacts", key)
-        return bundle
+        return self._get(self._artifacts, key)
 
     def put_artifacts(self, key: tuple, bundle) -> None:
         """Store a per-log artifact bundle under its prefix ``key``."""
-        with self._lock:
-            self._artifacts[key] = bundle
-            self._artifacts.move_to_end(key)
-            self.stats.artifacts.stores += 1
-            while len(self._artifacts) > self._max_artifacts:
-                self._artifacts.popitem(last=False)
-                self.stats.artifacts.evictions += 1
+        self._put(self._artifacts, key, bundle)
 
     def count_artifact_build(self) -> None:
         """Record that per-log artifacts were computed from scratch."""
         with self._lock:
             self.stats.artifact_builds += 1
 
-    # -- selection tier (component-digest keyed) --------------------------
-
-    def _selection_disk_path(self, key: str) -> Path:
-        return self._disk_dir / "selection" / key[:2] / f"{key}.json"
-
     def get_selection(self, key: str):
         """Look up a solved Step-2 component cell; memory first, then disk."""
-        with self._lock:
-            solution = self._selections.get(key)
-            if solution is not None:
-                self._selections.move_to_end(key)
-                self.stats.selection.hits += 1
-            else:
-                self.stats.selection.misses += 1
-        if solution is not None:
-            self._trace_hit("selection", key)
-            return solution
-        if self._disk_dir is None:
-            return None
-        path = self._selection_disk_path(key)
-        if not path.exists():
-            with self._lock:
-                self.stats.disk.misses += 1
-            return None
-        if self._expired(path):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            with self._lock:
-                self.stats.disk.misses += 1
-                self.stats.disk.evictions += 1
-            return None
-        try:
-            solution = _selection_from_dict(verify_seal(read_json(path)))
-        except Exception:
-            # Corrupt, truncated, or old-schema entry (checksums are
-            # verified by ``verify_seal``): treat as a miss and
-            # quarantine the file so the next put repairs the slot
-            # (same as the result tier).
-            self._quarantine_disk_entry(path)
-            with self._lock:
-                self.stats.disk.misses += 1
-            return None
-        try:
-            os.utime(path)  # a hit refreshes the entry's LRU/TTL clock
-        except OSError:
-            pass
-        with self._lock:
-            self.stats.disk.hits += 1
-            self._store_selection_locked(key, solution)
-        self._trace_hit("disk_selection", key)
-        return solution
+        return self._get(self._selections, key)
 
     def put_selection(self, key: str, solution) -> None:
         """Store a solved Step-2 component cell (memory, and disk for proofs)."""
-        with self._lock:
-            self._store_selection_locked(key, solution)
-            self.stats.selection.stores += 1
-        if self._disk_dir is None:
-            return
-        payload = _selection_to_dict(solution)
-        if payload is None:
-            # Not a persistable proof (e.g. a timeout, or a foreign
-            # object placed in the memory tier) — never write it.
-            return
-        path = self._selection_disk_path(key)
-        if not path.exists():
-            try:
-                self._disk_retry.call(
-                    self._disk_writer, seal(payload), path, key=key,
-                    retry_on=(OSError,),
-                )
-            except Exception:
-                return  # best-effort tier, same as results
-            try:
-                written = path.stat().st_size
-            except OSError:
-                written = 0
-            with self._lock:
-                self.stats.disk.stores += 1
-                if self._selection_footprint is not None:
-                    entries_est, bytes_est = self._selection_footprint
-                    self._selection_footprint = (
-                        entries_est + 1,
-                        bytes_est + written,
-                    )
-            if self._selection_sweep_needed():
-                self._enforce_disk_budget("selection")
-
-    def _selection_sweep_needed(self) -> bool:
-        """Whether a selection put must pay the glob+stat sweep.
-
-        Decomposed runs persist many tiny proved cells; sweeping on
-        every put would make a k-component job quadratic in filesystem
-        stats.  The in-process footprint estimate skips sweeps while
-        clearly under the size budgets; TTL hygiene runs at most every
-        half-TTL (read-side expiry stays exact regardless).
-        """
-        if (
-            self._disk_ttl is None
-            and self._disk_max_entries is None
-            and self._disk_max_bytes is None
-        ):
-            return False
-        with self._lock:
-            footprint = self._selection_footprint
-            last_ttl_sweep = self._last_selection_ttl_sweep
-        if footprint is None:
-            return True  # seed the estimate with one real sweep
-        entries_est, bytes_est = footprint
-        if (
-            self._disk_max_entries is not None
-            and entries_est > self._disk_max_entries
-        ):
-            return True
-        if self._disk_max_bytes is not None and bytes_est > self._disk_max_bytes:
-            return True
-        if self._disk_ttl is not None:
-            return time.time() - last_ttl_sweep >= self._disk_ttl / 2
-        return False
-
-    def _store_selection_locked(self, key: str, solution) -> None:
-        self._selections[key] = solution
-        self._selections.move_to_end(key)
-        while len(self._selections) > self._max_selections:
-            self._selections.popitem(last=False)
-            self.stats.selection.evictions += 1
-
-    # -- result tier (full-fingerprint keyed) -----------------------------
-
-    def _disk_path(self, fingerprint: str) -> Path:
-        return self._disk_dir / fingerprint[:2] / f"{fingerprint}.json"
-
-    def _expired(self, path: Path) -> bool:
-        """Whether a disk entry has outlived the TTL budget."""
-        if self._disk_ttl is None:
-            return False
-        try:
-            age = time.time() - path.stat().st_mtime
-        except OSError:
-            return True
-        return age > self._disk_ttl
+        self._put(self._selections, key, solution)
 
     def get_result(self, fingerprint: str) -> AbstractionResult | None:
         """Look up a finished result; memory first, then disk."""
+        return self._get(self._results, fingerprint)
+
+    def put_result(self, fingerprint: str, result: AbstractionResult) -> None:
+        """Store a finished result (memory, and disk when configured)."""
+        self._put(self._results, fingerprint, result)
+
+    def _path(self, tier: _Tier, key: str) -> Path:
+        return self._disk_dir / tier.directory / key[:2] / f"{key}.json"
+
+    def _remember(self, tier: _Tier, key, value) -> None:
+        """Insert into the memory map as most recent (caller holds the lock)."""
+        tier.entries[key] = value
+        tier.entries.move_to_end(key)
+        while len(tier.entries) > tier.capacity:
+            tier.entries.popitem(last=False)
+            tier.stats.evictions += 1
+
+    def _get(self, tier: _Tier, key):
+        """Memory first; on a miss, the tier's disk entry repopulates memory."""
         with self._lock:
-            result = self._results.get(fingerprint)
-            if result is not None:
-                self._results.move_to_end(fingerprint)
-                self.stats.results.hits += 1
+            value = tier.entries.get(key)
+            if value is not None:
+                tier.entries.move_to_end(key)
+                tier.stats.hits += 1
             else:
-                self.stats.results.misses += 1
-        if result is not None:
-            self._trace_hit("results", fingerprint)
-            return result
-        if self._disk_dir is None:
+                tier.stats.misses += 1
+        if value is not None:
+            self._trace_hit(tier.name, key)
+            return value
+        if tier.directory is None:
             return None
-        path = self._disk_path(fingerprint)
-        if not path.exists():
+        path = self._path(tier, key)
+        try:
+            idle = time.time() - path.stat().st_mtime
+        except OSError:  # no such entry
             with self._lock:
                 self.stats.disk.misses += 1
             return None
-        if self._expired(path):
+        if self._disk_ttl is not None and idle > self._disk_ttl:
             try:
                 path.unlink()
             except OSError:
@@ -496,15 +412,16 @@ class ArtifactCache:
                 self.stats.disk.evictions += 1
             return None
         try:
-            result = result_from_dict(verify_seal(read_json(path)))
+            value = tier.decode(verify_seal(read_json(path)))
         except Exception:
-            # A stale, truncated, or corrupt store entry (checksums are
-            # verified by ``verify_seal``) must never take the service
-            # down — treat as miss and quarantine the bad file so the
-            # next put_result repairs the slot.
-            self._quarantine_disk_entry(path)
+            # A stale, truncated, corrupt (checksums are verified by
+            # ``verify_seal``) or old-schema entry must never take the
+            # service down: treat it as a miss and quarantine the file
+            # so the next put repairs the slot.
+            quarantined = quarantine_store_entry(self._disk_dir, path)
             with self._lock:
                 self.stats.disk.misses += 1
+                self.stats.disk_quarantined += quarantined
             return None
         try:
             os.utime(path)  # a hit refreshes the entry's LRU/TTL clock
@@ -512,143 +429,130 @@ class ArtifactCache:
             pass
         with self._lock:
             self.stats.disk.hits += 1
-            self._store_result_locked(fingerprint, result)
-        self._trace_hit("disk_results", fingerprint)
-        return result
+            self._remember(tier, key, value)
+        self._trace_hit(f"disk_{tier.name}", key)
+        return value
 
-    def put_result(self, fingerprint: str, result: AbstractionResult) -> None:
-        """Store a finished result (memory, and disk when configured)."""
+    def _put(self, tier: _Tier, key, value) -> None:
+        """Store in memory, and once on disk when the tier persists ``value``."""
         with self._lock:
-            self._store_result_locked(fingerprint, result)
-            self.stats.results.stores += 1
-        if self._disk_dir is not None:
-            path = self._disk_path(fingerprint)
-            if not path.exists():
-                try:
-                    # Transient write failures retry with backoff; a
-                    # serialization error (non-OSError) fails once.
-                    self._disk_retry.call(
-                        self._disk_writer, seal(result_to_dict(result)), path,
-                        key=fingerprint, retry_on=(OSError,),
-                    )
-                except Exception:
-                    # Best-effort tier: a full disk or a result with
-                    # JSON-unserializable attribute values must not fail
-                    # the job — it is already served from memory.
-                    return
-                with self._lock:
-                    self.stats.disk.stores += 1
-                self._enforce_disk_budget("results")
+            self._remember(tier, key, value)
+            tier.stats.stores += 1
+        if tier.directory is None:
+            return
+        path = self._path(tier, key)
+        if path.exists():
+            return
+        try:
+            payload = tier.encode(value)
+            if payload is None:
+                # Not persistable (e.g. a timeout, or a foreign object
+                # placed in the memory tier) — never write it.
+                return
+            # Transient write failures retry with backoff; a
+            # serialization error (non-OSError) fails once.
+            self._disk_retry.call(
+                self._disk_writer, seal(payload), path, key=key,
+                retry_on=(OSError,),
+            )
+        except Exception:
+            # Best-effort tier: a full disk or a result with
+            # JSON-unserializable attribute values must not fail the
+            # job — it is already served from memory.
+            return
+        try:
+            written = path.stat().st_size
+        except OSError:
+            written = 0
+        with self._lock:
+            self.stats.disk.stores += 1
+            if tier.footprint is not None:
+                entries, size = tier.footprint
+                tier.footprint = (entries + 1, size + written)
+        if self._sweep_needed(tier):
+            self._enforce_disk_budget(tier)
 
-    def _enforce_disk_budget(self, tier: str | None = None) -> None:
-        """Expire TTL-dead entries and evict LRU ones past the budgets.
+    def _sweep_needed(self, tier: _Tier) -> bool:
+        """Whether a put into ``tier`` must pay the glob+stat sweep.
 
-        The TTL covers every persisted entry; the entry/byte budgets
-        are enforced per tier (results and selection cells each honor
-        the configured limits independently), so a burst of tiny
-        selection cells can never evict expensive finished results.
-        ``tier`` limits the sweep to ``"results"`` or ``"selection"``
-        — each put only re-scans the tier it wrote to, keeping a
-        many-component decomposed run linear in filesystem stats.
+        Sweeping on every put would make a k-entry run quadratic in
+        filesystem stats.  The tier's footprint estimate skips sweeps
+        while clearly under the size budgets; TTL hygiene runs at most
+        every half-TTL (read-side expiry stays exact regardless).
         """
-        if self._disk_dir is None:
-            return
-        if (
-            self._disk_ttl is None
-            and self._disk_max_entries is None
-            and self._disk_max_bytes is None
-        ):
-            return
-        swept = ("results", "selection") if tier is None else (tier,)
-        tiers: dict[str, list] = {name: [] for name in swept}
-        for name in swept:
-            for path in self._disk_entries(name):
-                try:
-                    status = path.stat()
-                except OSError:
-                    continue
-                tiers[name].append((status.st_mtime, status.st_size, path))
-        evicted = 0
-        now = time.time()
-        for entries in tiers.values():
-            entries.sort()  # oldest (least recently used) first
-            if self._disk_ttl is not None:
-                live = []
-                for mtime, size, path in entries:
-                    if now - mtime > self._disk_ttl:
-                        try:
-                            path.unlink()
-                            evicted += 1
-                        except OSError:
-                            pass
-                    else:
-                        live.append((mtime, size, path))
-                entries[:] = live
-            total_bytes = sum(size for _, size, _ in entries)
-            while entries and (
-                (
-                    self._disk_max_entries is not None
-                    and len(entries) > self._disk_max_entries
-                )
-                or (
-                    self._disk_max_bytes is not None
-                    and total_bytes > self._disk_max_bytes
-                )
-            ):
-                _mtime, size, path = entries.pop(0)
-                try:
-                    path.unlink()
-                    evicted += 1
-                except OSError:
-                    pass
-                total_bytes -= size
+        if not self._budgeted:
+            return False
         with self._lock:
-            if evicted:
-                self.stats.disk.evictions += evicted
-            survivors = tiers.get("selection")
-            if survivors is not None:
-                self._selection_footprint = (
-                    len(survivors),
-                    sum(size for _, size, _ in survivors),
-                )
-                if self._disk_ttl is not None:
-                    self._last_selection_ttl_sweep = now
+            footprint, last_sweep = tier.footprint, tier.last_sweep
+        if footprint is None:
+            return True  # seed the estimate with one real sweep
+        entries, size = footprint
+        if self._disk_max_entries is not None and entries > self._disk_max_entries:
+            return True
+        if self._disk_max_bytes is not None and size > self._disk_max_bytes:
+            return True
+        return (
+            self._disk_ttl is not None
+            and time.time() - last_sweep >= self._disk_ttl / 2
+        )
 
-    def _store_result_locked(self, fingerprint: str, result: AbstractionResult) -> None:
-        self._results[fingerprint] = result
-        self._results.move_to_end(fingerprint)
-        while len(self._results) > self._max_results:
-            self._results.popitem(last=False)
-            self.stats.results.evictions += 1
+    def _enforce_disk_budget(self, tier: _Tier) -> None:
+        """Expire TTL-dead entries of ``tier`` and evict LRU ones past the budgets.
+
+        The budgets apply per tier (see the class docstring), so each
+        put only re-scans the tier it wrote to.  Entries are visited
+        oldest (least recently used) first; the TTL-dead ones form a
+        prefix of that order, so one pass evicts them and then the LRU
+        entries past the size budgets.
+        """
+        entries = []
+        for path in store_entries(self._disk_dir, tier.directory):
+            try:
+                status = path.stat()
+            except OSError:
+                continue
+            entries.append((status.st_mtime, status.st_size, path))
+        entries.sort()
+        now = time.time()
+        kept, total = len(entries), sum(size for _, size, _ in entries)
+        evicted = 0
+        for mtime, size, path in entries:
+            if not (
+                (self._disk_ttl is not None and now - mtime > self._disk_ttl)
+                or (self._disk_max_entries is not None and kept > self._disk_max_entries)
+                or (self._disk_max_bytes is not None and total > self._disk_max_bytes)
+            ):
+                break
+            try:
+                path.unlink()
+                evicted += 1
+            except OSError:
+                pass
+            kept, total = kept - 1, total - size
+        with self._lock:
+            self.stats.disk.evictions += evicted
+            tier.footprint = (kept, total)
+            tier.last_sweep = now
 
     # -- maintenance -------------------------------------------------------
 
-    def _disk_entries(self, tier: str | None = None):
-        """Persisted entries of ``tier`` (``None`` = both tiers).
-
-        Result entries live at ``<2ch>/<fingerprint>.json``, selection
-        entries at ``selection/<2ch>/<digest>.json``; the two-level
-        glob cannot match the three-level selection layout, so the
-        patterns partition the store.
-        """
-        if tier in (None, "results"):
-            yield from self._disk_dir.glob("*/*.json")
-        if tier in (None, "selection"):
-            yield from self._disk_dir.glob("selection/*/*.json")
-
     def clear(self, memory_only: bool = True) -> None:
         """Drop cached entries (the disk store survives by default)."""
+        tiers = (self._artifacts, self._results, self._selections)
         with self._lock:
-            self._artifacts.clear()
-            self._results.clear()
-            self._selections.clear()
-        if not memory_only and self._disk_dir is not None:
-            for path in self._disk_entries():
-                path.unlink()
+            for tier in tiers:
+                tier.entries.clear()
+        if memory_only:
+            return
+        for tier in tiers:
+            if tier.directory is not None:
+                for path in store_entries(self._disk_dir, tier.directory):
+                    path.unlink()
+                tier.footprint = None
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._results)
+            return len(self._results.entries)
 
     def snapshot(self) -> dict:
         """Plain-data counters for reports and benchmarks.
@@ -667,11 +571,11 @@ class ArtifactCache:
         """
         with self._lock:
             data = self.stats.as_dict()
-            data["resident_results"] = len(self._results)
-            data["resident_artifacts"] = len(self._artifacts)
-            data["resident_selections"] = len(self._selections)
+            data["resident_results"] = len(self._results.entries)
+            data["resident_artifacts"] = len(self._artifacts.entries)
+            data["resident_selections"] = len(self._selections.entries)
             resident_bytes = resets = 0
-            for bundle in self._artifacts.values():
+            for bundle in self._artifacts.entries.values():
                 for part in ("compiled", "instance_index"):
                     owner = getattr(bundle, part, None)
                     resident_bytes += getattr(owner, "nbytes", 0) or 0

@@ -11,7 +11,8 @@ multi-host one) becomes a task queue::
       claimed/     tasks currently leased to a worker
       leases/      <task_id>.json — {worker, deadline}; the lease clock
       results/     <task_id>.res — pickled result envelopes
-      quarantine/  poisonous tasks, each with a .reason sidecar
+      quarantine/  parked task files, each with a <file name>.reason
+                   sidecar, and corrupt results as <task_id>.res.bad
       affinity/    <key>.json — cache-affinity ownership leases
       tmp/         staging for atomic writes
       stop         cooperative shutdown flag for worker loops
@@ -31,12 +32,18 @@ error result, so waiting executors fail fast) instead of being handed
 to a worker, and a corrupt result file is replaced by an explicit
 error envelope instead of crashing the submitter's decode.  Unframed
 payloads written by older builds still pass through unverified.
+
+This module owns the layout: the live paths and :func:`scan_directory`
+(``repro fsck --broker``) share one *park* primitive (move a bad task
+file into ``quarantine/``) and one *heal* primitive (replace a corrupt
+result by an error envelope).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
 import time
 import uuid
 from dataclasses import dataclass
@@ -49,7 +56,13 @@ from repro.service.dist.broker import (
     TaskEnvelope,
     encode_result,
 )
-from repro.service.journal import IntegrityError, frame_bytes, unframe_bytes
+from repro.service.journal import (
+    IntegrityError,
+    frame_bytes,
+    stale_tmp_files,
+    sweep_stale_tmp,
+    unframe_bytes,
+)
 
 #: Priority is encoded as ``_PRIORITY_OFFSET - priority`` so that an
 #: ascending directory sort yields highest-priority-first.
@@ -133,30 +146,49 @@ class FilesystemBroker(Broker):
 
     # -- atomic primitives -------------------------------------------------
 
-    def _write_atomic(self, path: Path, data: bytes) -> None:
+    def _stage(self, data: bytes) -> Path:
         staging = self.root / "tmp" / f"{uuid.uuid4().hex}.tmp"
         staging.write_bytes(data)
-        os.replace(staging, path)
+        return staging
 
-    def _write_json_atomic(self, path: Path, record: dict) -> None:
-        self._write_atomic(path, json.dumps(record).encode("utf-8"))
+    def _write_atomic(self, path: Path, data: bytes) -> None:
+        os.replace(self._stage(data), path)
+
+    def _create_atomic(self, path: Path, data: bytes) -> bool:
+        """Write ``path`` only when it does not exist yet (``False`` if it does)."""
+        staging = self._stage(data)
+        try:
+            os.link(staging, path)
+        except FileExistsError:
+            return False
+        finally:
+            self._unlink_quiet(staging)
+        return True
 
     @staticmethod
     def _read_json(path: Path) -> dict | None:
+        """A lease/affinity record; ``None`` unless an object with a numeric deadline."""
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
+            record = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return None
+        well_formed = isinstance(record, dict) and isinstance(
+            record.get("deadline", 0.0), (int, float))
+        return record if well_formed else None
 
     @staticmethod
-    def _unlink_quiet(path: Path) -> None:
+    def _unlink_quiet(path: Path) -> bool:
         try:
             path.unlink()
         except OSError:
-            pass
+            return False
+        return True
 
-    def _held_elsewhere(self, path: Path, worker: str) -> bool:
-        """Whether ``path`` records a live ownership by another worker."""
+    def _held_elsewhere(self, path: Path, worker: str | None) -> bool:
+        """Whether ``path`` records a live ownership by another worker.
+
+        ``worker=None`` counts every live record, whatever it names.
+        """
         current = self._read_json(path)
         return (
             current is not None
@@ -164,28 +196,28 @@ class FilesystemBroker(Broker):
             and current.get("deadline", 0.0) > time.time()
         )
 
-    def _take_ownership(self, path: Path, record: dict) -> bool:
+    def _take_ownership(self, path: Path, record: dict, refresh: bool = False) -> bool:
         """Create (or take over an expired) ``{worker, deadline}`` file.
 
         The shared primitive behind task leases and affinity ownership:
         exclusive create wins outright; an existing file is taken over
-        only when it is expired, unreadable, or already ours.  The
+        only when it is expired or unreadable, or — with ``refresh``,
+        for affinity keys — already ours.  A live task lease is never
+        taken over, whatever worker it names: two processes started
+        with one worker id must not take each other's claims.  The
         create hard-links a fully written staging file into place: a
         racing claimant must never read a half-written file, count it
         unreadable and take over the live ownership it records.
         """
-        if self._held_elsewhere(path, record["worker"]):
+        mine = record["worker"] if refresh else None
+        if self._held_elsewhere(path, mine):
             return False
-        staging = self.root / "tmp" / f"{uuid.uuid4().hex}.tmp"
-        staging.write_bytes(json.dumps(record).encode("utf-8"))
-        try:
-            os.link(staging, path)
-        except FileExistsError:
-            if self._held_elsewhere(path, record["worker"]):
-                return False
-            os.replace(staging, path)
-        finally:
-            self._unlink_quiet(staging)
+        data = json.dumps(record).encode("utf-8")
+        if self._create_atomic(path, data):
+            return True
+        if self._held_elsewhere(path, mine):
+            return False
+        self._write_atomic(path, data)
         return True
 
     # -- lease files -------------------------------------------------------
@@ -197,24 +229,89 @@ class FilesystemBroker(Broker):
         return {"worker": worker, "deadline": time.time() + lease, "name": name}
 
     def _try_take_lease(self, task_id: str, worker: str, lease: float,
-                        name: str) -> bool:
-        """Create (or take over an expired) lease file for a task."""
-        return self._take_ownership(
-            self._lease_path(task_id), self._lease_record(worker, lease, name)
-        )
+                        name: str) -> dict | None:
+        """Take the task's lease: the record written, or ``None`` when it is held."""
+        record = self._lease_record(worker, lease, name)
+        return record if self._take_ownership(self._lease_path(task_id), record) else None
 
-    def _release_lease_if_mine(self, task_id: str, worker: str) -> None:
-        """Drop the task's lease only when it still records ``worker``.
+    def _release_lease_if_mine(self, task_id: str, record: dict) -> None:
+        """Drop the task's lease only when it still holds ``record``.
 
         A claimant that lost the queue->claimed rename race must not
         unlink unconditionally: the rename winner has re-asserted the
-        lease under its own name by then, and deleting it would make
-        the winner's claim look expired (requeued while healthy).
+        lease by then — possibly under the same worker id — and deleting
+        it would make the winner's claim look expired (requeued while
+        healthy).
         """
         path = self._lease_path(task_id)
-        current = self._read_json(path)
-        if current is not None and current.get("worker") == worker:
+        if self._read_json(path) == record:
             self._unlink_quiet(path)
+
+    def _holds(self, claim: Claim) -> bool:
+        """Whether the task's lease still records ``claim`` (worker and entry)."""
+        current = self._read_json(self._lease_path(claim.envelope.task_id))
+        return (
+            current is not None
+            and current.get("worker") == claim.worker
+            and current.get("name") == claim.token
+        )
+
+    # -- requeue, park and heal --------------------------------------------
+
+    def _requeue(self, meta: _EntryMeta) -> bool:
+        """Requeue a claimed entry (``attempts + 1``); ``False`` if the rename loses."""
+        fresh = _entry_name(
+            meta.priority, time.time_ns(), meta.attempts + 1,
+            meta.kind, meta.affinity, meta.task_id,
+        )
+        try:
+            os.rename(self.root / "claimed" / meta.name, self.root / "queue" / fresh)
+        except OSError:
+            return False
+        return True
+
+    def _park(self, path: Path, reason: str, error: str | None = None,
+              worker: str = "") -> bool:
+        """Move a bad task file into ``quarantine/``; ``False`` when the rename loses.
+
+        Only the rename winner writes the ``<file name>.reason`` sidecar
+        and — given ``error`` and a task entry name — an error result,
+        so executors awaiting the task fail fast.  The error never
+        replaces an existing result: that is a finished task's answer.
+        Callers holding the task's lease drop it themselves.
+        """
+        try:
+            os.rename(path, self.root / "quarantine" / path.name)
+        except OSError:
+            return False
+        self._write_atomic(
+            self.root / "quarantine" / f"{path.name}.reason", reason.encode("utf-8")
+        )
+        meta = _parse_entry_name(path.name)
+        if error is not None and meta is not None:
+            self._create_atomic(
+                self.root / "results" / f"{meta.task_id}.res",
+                frame_bytes(encode_result(error=error, worker=worker)),
+            )
+        return True
+
+    def _heal(self, task_id: str, exc: IntegrityError) -> bytes:
+        """Replace a result that failed its checksum by an error envelope.
+
+        The corrupt file moves to ``quarantine/<task_id>.res.bad`` for
+        post-mortem; the replacement gives repeated polls one
+        consistent answer.  Returns the replacement envelope.
+        """
+        path = self.root / "results" / f"{task_id}.res"
+        try:
+            os.replace(path, self.root / "quarantine" / f"{path.name}.bad")
+        except OSError:
+            pass
+        replacement = encode_result(
+            error=f"result for task {task_id} failed its checksum: {exc}"
+        )
+        self._write_atomic(path, frame_bytes(replacement))
+        return replacement
 
     # -- affinity ownership ------------------------------------------------
 
@@ -225,7 +322,8 @@ class FilesystemBroker(Broker):
         """Acquire/refresh per-log ownership; ``False`` when owned elsewhere."""
         deadline = time.time() + max(lease * _AFFINITY_LEASE_FACTOR, 10.0)
         return self._take_ownership(
-            self._affinity_path(key), {"worker": worker, "deadline": deadline}
+            self._affinity_path(key), {"worker": worker, "deadline": deadline},
+            refresh=True,
         )
 
     def _refresh_affinity(self, key: str, worker: str, lease: float) -> None:
@@ -272,9 +370,7 @@ class FilesystemBroker(Broker):
             envelope.priority, time.time_ns(), envelope.attempts,
             envelope.kind, envelope.affinity, envelope.task_id,
         )
-        staging = self.root / "tmp" / f"{uuid.uuid4().hex}.tmp"
-        staging.write_bytes(frame_bytes(envelope.payload))
-        os.replace(staging, self.root / "queue" / name)
+        self._write_atomic(self.root / "queue" / name, frame_bytes(envelope.payload))
 
     def claim(self, worker: str, lease: float) -> Claim | None:
         """Claim the best queued task we may run (see :meth:`Broker.claim`).
@@ -294,14 +390,14 @@ class FilesystemBroker(Broker):
             if meta is None:
                 # Foreign junk in the queue directory: park it so the
                 # claim scan never trips over it again.
-                self._quarantine_file(queue_dir / name, "unparsable queue entry")
+                self._park(queue_dir / name, "unparsable queue entry")
                 continue
             # A duplicate delivery of an already-finished task: drop it,
             # and its lease unless a live claim holds it (the finisher
             # may still be completing: ``complete`` reads the lease).
             if (self.root / "results" / f"{meta.task_id}.res").exists():
                 self._unlink_quiet(queue_dir / name)
-                if not self._held_elsewhere(self._lease_path(meta.task_id), worker):
+                if not self._held_elsewhere(self._lease_path(meta.task_id), None):
                     self._unlink_quiet(self._lease_path(meta.task_id))
                 continue
             if meta.affinity is not None and not self._acquire_affinity(
@@ -314,39 +410,31 @@ class FilesystemBroker(Broker):
                     busy = self._leaseholders()
                 if owner is None or owner.get("worker") not in busy:
                     continue
-            if not self._try_take_lease(meta.task_id, worker, lease, name):
+            record = self._try_take_lease(meta.task_id, worker, lease, name)
+            if record is None:
                 continue
             try:
                 os.rename(queue_dir / name, self.root / "claimed" / name)
             except OSError:
-                self._release_lease_if_mine(meta.task_id, worker)
+                self._release_lease_if_mine(meta.task_id, record)
                 continue
             # We own the claim now; assert the lease unconditionally in
-            # case a racing claimant overwrote it between take and rename.
-            self._write_json_atomic(
-                self._lease_path(meta.task_id),
-                self._lease_record(worker, lease, name),
-            )
+            # case a racing claimant took it over (expired) between
+            # take and rename.
+            record = self._lease_record(worker, lease, name)
+            self._write_atomic(self._lease_path(meta.task_id), json.dumps(record).encode())
             try:
                 payload = unframe_bytes((self.root / "claimed" / name).read_bytes())
             except OSError:
                 # Requeued from under us in the same instant; let go.
-                self._release_lease_if_mine(meta.task_id, worker)
+                self._release_lease_if_mine(meta.task_id, record)
                 continue
             except IntegrityError as exc:
                 # Torn or corrupted payload: never hand it to a worker.
-                # We hold the lease and the claimed entry, so quarantine
-                # through the normal path (reason sidecar + error result
-                # so waiting executors fail fast).
-                poisoned = Claim(
-                    envelope=TaskEnvelope(
-                        task_id=meta.task_id, kind=meta.kind, payload=b"",
-                        priority=meta.priority, affinity=meta.affinity,
-                        attempts=meta.attempts,
-                    ),
-                    worker=worker, deadline=time.time() + lease, token=name,
-                )
-                self.quarantine(poisoned, f"payload checksum failed: {exc}")
+                reason = f"payload checksum failed: {exc}"
+                if self._park(self.root / "claimed" / name, reason,
+                              f"task quarantined: {reason}", worker):
+                    self._unlink_quiet(self._lease_path(meta.task_id))
                 continue
             envelope = TaskEnvelope(
                 task_id=meta.task_id, kind=meta.kind, payload=payload,
@@ -362,15 +450,12 @@ class FilesystemBroker(Broker):
     def heartbeat(self, claim: Claim, lease: float) -> bool:
         """Renew the task lease (and affinity); ``False`` once the claim is lost."""
         task_id = claim.envelope.task_id
-        current = self._read_json(self._lease_path(task_id))
-        if current is None or current.get("worker") != claim.worker:
+        if not self._holds(claim):
             return False
         if not (self.root / "claimed" / str(claim.token)).exists():
             return False  # requeued from under us
-        self._write_json_atomic(
-            self._lease_path(task_id),
-            self._lease_record(claim.worker, lease, str(claim.token)),
-        )
+        record = self._lease_record(claim.worker, lease, str(claim.token))
+        self._write_atomic(self._lease_path(task_id), json.dumps(record).encode())
         if claim.envelope.affinity is not None:
             self._refresh_affinity(claim.envelope.affinity, claim.worker, lease)
         claim.deadline = time.time() + lease
@@ -382,8 +467,7 @@ class FilesystemBroker(Broker):
         self._write_atomic(
             self.root / "results" / f"{task_id}.res", frame_bytes(payload)
         )
-        current = self._read_json(self._lease_path(task_id))
-        fresh = current is not None and current.get("worker") == claim.worker
+        fresh = self._holds(claim)
         if fresh:
             self._unlink_quiet(self.root / "claimed" / str(claim.token))
             self._unlink_quiet(self._lease_path(task_id))
@@ -396,58 +480,23 @@ class FilesystemBroker(Broker):
         the rename winner requeues, so a concurrent expiry sweep cannot
         double-deliver the task.
         """
-        task_id = claim.envelope.task_id
-        name = str(claim.token)
-        current = self._read_json(self._lease_path(task_id))
-        if current is None or current.get("worker") != claim.worker:
+        if not self._holds(claim):
             return False  # claim already lost; expiry handles the task
-        meta = _parse_entry_name(name)
-        if meta is None:
-            return False
-        fresh = _entry_name(
-            meta.priority, time.time_ns(), meta.attempts + 1,
-            meta.kind, meta.affinity, meta.task_id,
-        )
-        try:
-            os.rename(self.root / "claimed" / name, self.root / "queue" / fresh)
-        except OSError:
+        meta = _parse_entry_name(str(claim.token))
+        if meta is None or not self._requeue(meta):
             return False  # requeued/finished from under us
-        self._unlink_quiet(self._lease_path(task_id))
+        self._unlink_quiet(self._lease_path(meta.task_id))
         return True
 
     def quarantine(self, claim: Claim, reason: str) -> None:
-        """Park a poisonous claimed task; record an error result."""
-        task_id = claim.envelope.task_id
-        name = str(claim.token)
-        try:
-            os.rename(self.root / "claimed" / name, self.root / "quarantine" / name)
-        except OSError:
-            pass
-        self._write_atomic(
-            self.root / "quarantine" / f"{task_id}.reason",
-            reason.encode("utf-8"),
-        )
-        self._write_atomic(
-            self.root / "results" / f"{task_id}.res",
-            frame_bytes(
-                encode_result(
-                    error=f"task quarantined: {reason}", worker=claim.worker
-                )
-            ),
-        )
-        self._unlink_quiet(self._lease_path(task_id))
+        """Park a poisonous claimed task; record an error result.
 
-    def _quarantine_file(self, path: Path, reason: str) -> None:
-        """Move an unparsable queue file out of the scan path."""
-        target = self.root / "quarantine" / path.name
-        try:
-            os.rename(path, target)
-        except OSError:
-            return
-        self._write_atomic(
-            self.root / "quarantine" / f"{path.name}.reason",
-            reason.encode("utf-8"),
-        )
+        A stale claim — its task was requeued and is held elsewhere —
+        parks nothing: the claimed entry it names is gone.
+        """
+        if self._park(self.root / "claimed" / str(claim.token), reason,
+                      f"task quarantined: {reason}", claim.worker):
+            self._unlink_quiet(self._lease_path(claim.envelope.task_id))
 
     def requeue_expired(self, max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> int:
         """Requeue lease-expired claimed tasks; exactly once per task.
@@ -478,34 +527,15 @@ class FilesystemBroker(Broker):
                 self._release_affinity_of(meta.affinity, lease.get("worker", ""))
             attempts = meta.attempts + 1
             if attempts >= max_attempts:
-                try:
-                    os.rename(claimed_dir / name, self.root / "quarantine" / name)
-                except OSError:
+                if not self._park(
+                    claimed_dir / name,
+                    f"delivery attempts exhausted ({attempts})",
+                    f"task {meta.task_id} exceeded {max_attempts} "
+                    "delivery attempts (worker crash loop?)",
+                ):
                     continue  # another requeuer won
-                self._write_atomic(
-                    self.root / "quarantine" / f"{meta.task_id}.reason",
-                    f"delivery attempts exhausted ({attempts})".encode("utf-8"),
-                )
-                self._write_atomic(
-                    self.root / "results" / f"{meta.task_id}.res",
-                    frame_bytes(
-                        encode_result(
-                            error=(
-                                f"task {meta.task_id} exceeded {max_attempts} "
-                                "delivery attempts (worker crash loop?)"
-                            )
-                        )
-                    ),
-                )
-            else:
-                fresh = _entry_name(
-                    meta.priority, time.time_ns(), attempts,
-                    meta.kind, meta.affinity, meta.task_id,
-                )
-                try:
-                    os.rename(claimed_dir / name, self.root / "queue" / fresh)
-                except OSError:
-                    continue  # another requeuer won
+            elif not self._requeue(meta):
+                continue  # another requeuer won
             self._unlink_quiet(self._lease_path(meta.task_id))
             moved += 1
         self._sweep_stale_results(now)
@@ -547,15 +577,7 @@ class FilesystemBroker(Broker):
         try:
             return unframe_bytes(raw)
         except IntegrityError as exc:
-            try:
-                os.replace(path, self.root / "quarantine" / f"{path.name}.bad")
-            except OSError:
-                pass
-            replacement = encode_result(
-                error=f"result for task {task_id} failed its checksum: {exc}"
-            )
-            self._write_atomic(path, frame_bytes(replacement))
-            return replacement
+            return self._heal(task_id, exc)
 
     def forget_result(self, task_id: str) -> None:
         """Delete a consumed result file."""
@@ -591,3 +613,107 @@ class FilesystemBroker(Broker):
             "results": count("results", ".res"),
             "quarantined": count("quarantine", ".task"),
         }
+
+
+def _task_file_fault(path: Path) -> str | None:
+    """Why a queue/claimed file cannot run (``None``: it can); OSError if unreadable."""
+    if _parse_entry_name(path.name) is None:
+        return "unparsable entry name"
+    try:
+        payload = unframe_bytes(path.read_bytes())
+    except IntegrityError as exc:
+        return f"payload checksum failed: {exc}"
+    try:
+        pickle.loads(payload)
+    except Exception as exc:  # noqa: BLE001 - any decode failure
+        return f"payload does not decode: {exc}"
+    return None
+
+
+def scan_directory(
+    root: "str | Path", *, repair: bool = True, tmp_max_age: float = 0.0
+) -> dict:
+    """Verify (and repair) a broker directory offline; see ``fsck_broker``.
+
+    Repairs go through the live paths' park and heal primitives.  With
+    ``repair=False`` nothing is created, moved or removed — not even the
+    sub-directories a :class:`FilesystemBroker` would create.
+    """
+    root = Path(root)
+    report: dict = {
+        "root": str(root),
+        "present": (root / "queue").is_dir(),
+        "scanned": 0,
+        "ok": 0,
+        "quarantined": [],
+        "orphaned_leases_removed": [],
+        "expired_affinities_removed": [],
+        "tmp_removed": [],
+    }
+    if not report["present"]:
+        return report
+    broker = FilesystemBroker(root) if repair else None
+    live_tasks = set()
+    for sub in ("queue", "claimed"):
+        for path in sorted((root / sub).glob("*")):
+            if not path.is_file() or path.name.endswith(".tmp"):
+                continue
+            report["scanned"] += 1
+            try:
+                reason = _task_file_fault(path)
+            except OSError:
+                continue  # claimed/ can race a live worker; skip
+            if reason is None:
+                live_tasks.add(_parse_entry_name(path.name).task_id)
+                report["ok"] += 1
+            elif broker is None or broker._park(
+                path, reason, f"task quarantined by fsck: {reason}"
+            ):
+                report["quarantined"].append(
+                    {"path": str(path.relative_to(root)), "error": reason}
+                )
+
+    for path in sorted((root / "results").glob("*.res")):
+        report["scanned"] += 1
+        task_id = path.name[: -len(".res")]
+        try:
+            unframe_bytes(path.read_bytes())
+        except OSError:
+            continue
+        except IntegrityError as exc:
+            if broker is not None:
+                broker._heal(task_id, exc)
+            report["quarantined"].append(
+                {"path": str(path.relative_to(root)),
+                 "error": f"result checksum failed: {exc}"}
+            )
+            continue
+        report["ok"] += 1
+        live_tasks.add(task_id)
+
+    # A lease whose task has no queue/claimed entry and no result is
+    # orphaned (its owner died mid-claim); an unreadable one is dropped.
+    for path in sorted((root / "leases").glob("*.json")):
+        if (
+            FilesystemBroker._read_json(path) is not None
+            and path.name[: -len(".json")] in live_tasks
+        ):
+            continue
+        if broker is None or broker._unlink_quiet(path):
+            report["orphaned_leases_removed"].append(str(path.relative_to(root)))
+
+    now = time.time()
+    for path in sorted((root / "affinity").glob("*.json")):
+        record = FilesystemBroker._read_json(path)
+        if record is not None and record.get("deadline", 0.0) > now:
+            continue
+        if broker is None or broker._unlink_quiet(path):
+            report["expired_affinities_removed"].append(str(path.relative_to(root)))
+
+    tidy = sweep_stale_tmp if repair else stale_tmp_files
+    report["tmp_removed"] = tidy(
+        root / "tmp", max_age=tmp_max_age, patterns=("*.tmp",)
+    )
+    removed = ("quarantined", "orphaned_leases_removed", "expired_affinities_removed")
+    report["repaired"] = sum(len(report[key]) for key in removed) if repair else 0
+    return report

@@ -551,14 +551,18 @@ def spawn_worker_process(
     mp_context: str | None = None,
     trace: str | None = None,
     trace_rotate_mb: float | None = None,
+    chaos=None,
 ):
     """Start a local :func:`worker_loop` in a child process.
 
     The executor uses this to make ``repro batch --broker URL`` /
-    ``DistributedExecutor(workers=N)`` self-contained; remote hosts
-    join the same broker with ``repro worker --broker URL`` instead.
-    ``trace`` is a shared trace file path — the child opens its own
-    line-atomic writer on it.  Returns the started
+    ``DistributedExecutor(workers=N)`` self-contained, and
+    :class:`~repro.service.supervisor.FleetSupervisor` to fill its
+    slots; remote hosts join the same broker with ``repro worker
+    --broker URL`` instead.  ``trace`` is a shared trace file path —
+    the child opens its own line-atomic writer on it.  ``chaos`` is an
+    optional :class:`~repro.service.dist.chaos.ChaosConfig` the child
+    wraps its broker connection in.  Returns the started
     :class:`multiprocessing.Process`.
     """
     import multiprocessing
@@ -570,7 +574,7 @@ def spawn_worker_process(
     process = context.Process(
         target=_worker_process_main,
         args=(broker_url, str(cache_dir) if cache_dir is not None else None,
-              lease, poll_interval, trace, trace_rotate_mb),
+              lease, poll_interval, trace, trace_rotate_mb, chaos),
         daemon=True,
     )
     process.start()
@@ -584,9 +588,18 @@ def _worker_process_main(
     poll_interval: float,
     trace: str | None = None,
     trace_rotate_mb: float | None = None,
+    chaos=None,
 ) -> None:
-    worker_loop(
-        broker_url, cache_dir=cache_dir, lease=lease,
-        poll_interval=poll_interval, trace=trace,
-        trace_rotate_mb=trace_rotate_mb,
-    )
+    broker = connect_broker(broker_url)
+    if chaos is not None and chaos.any_faults():
+        from repro.service.dist.chaos import ChaosBroker
+
+        broker = ChaosBroker(broker, chaos)
+    try:
+        worker_loop(
+            broker, cache_dir=cache_dir, lease=lease,
+            poll_interval=poll_interval, trace=trace,
+            trace_rotate_mb=trace_rotate_mb,
+        )
+    finally:
+        broker.close()

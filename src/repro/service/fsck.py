@@ -24,12 +24,8 @@ Run fsck against a store only when no fleet is actively writing to it
 
 from __future__ import annotations
 
-import json
-import os
-import pickle
-import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.exceptions import ReproError
 from repro.experiments.persistence import read_json
@@ -37,40 +33,11 @@ from repro.service.journal import (
     IntegrityError,
     stale_tmp_files,
     sweep_stale_tmp,
-    unframe_bytes,
     verify_seal,
 )
 
 #: Schema tag stamped on fsck reports.
 FSCK_SCHEMA = "gecco-fsck/1"
-
-
-def _quarantine_into(root: Path, path: Path, repair: bool) -> str:
-    """Move a corrupt entry to ``<root>/quarantine/<name>.bad``."""
-    rel = str(path.relative_to(root))
-    if repair:
-        quarantine = root / "quarantine"
-        quarantine.mkdir(parents=True, exist_ok=True)
-        try:
-            os.replace(path, quarantine / (path.name + ".bad"))
-        except OSError:
-            pass
-    return rel
-
-
-def _verify_store_entry(path: Path, parser) -> Optional[str]:
-    """Return an error string when a store entry is corrupt, else None."""
-    try:
-        payload = verify_seal(read_json(path))
-    except IntegrityError as exc:
-        return f"checksum: {exc}"
-    except Exception as exc:  # noqa: BLE001 - any read/parse failure is rot
-        return f"unreadable: {exc}"
-    try:
-        parser(payload)
-    except Exception as exc:  # noqa: BLE001
-        return f"schema: {exc}"
-    return None
 
 
 def fsck_store(
@@ -88,8 +55,11 @@ def fsck_store(
     deleted (``tmp_max_age=0`` means *all* of them — offline use only);
     with ``repair=False`` they are only listed.
     """
-    from repro.service.cache import _selection_from_dict
-    from repro.service.serialization import result_from_dict
+    from repro.service.cache import (
+        STORE_TIERS,
+        quarantine_store_entry,
+        store_entries,
+    )
 
     root = Path(disk_dir)
     report: Dict[str, Any] = {
@@ -103,24 +73,29 @@ def fsck_store(
     }
     if not report["present"]:
         return report
-    # The two-level glob cannot match the three-level selection layout
-    # and quarantined files carry a ``.bad`` suffix, so the patterns
-    # partition the store (same invariant as ArtifactCache._disk_entries).
-    tiers = (
-        (root.glob("*/*.json"), result_from_dict),
-        (root.glob("selection/*/*.json"), _selection_from_dict),
-    )
-    for entries, parser in tiers:
-        for path in sorted(entries):
-            if path.relative_to(root).parts[0] == "quarantine":
-                continue
+    for directory, _encode, decode in STORE_TIERS.values():
+        for path in sorted(store_entries(root, directory)):
             report["scanned"] += 1
-            error = _verify_store_entry(path, parser)
+            error = None
+            try:
+                payload = verify_seal(read_json(path))
+            except IntegrityError as exc:
+                error = f"checksum: {exc}"
+            except Exception as exc:  # noqa: BLE001 - any read failure is rot
+                error = f"unreadable: {exc}"
+            else:
+                try:
+                    decode(payload)
+                except Exception as exc:  # noqa: BLE001
+                    error = f"schema: {exc}"
             if error is None:
                 report["ok"] += 1
                 continue
-            rel = _quarantine_into(root, path, repair)
-            report["quarantined"].append({"path": rel, "error": error})
+            report["quarantined"].append(
+                {"path": str(path.relative_to(root)), "error": error}
+            )
+            if repair:
+                quarantine_store_entry(root, path)
     report["already_quarantined"] = sum(
         1 for _ in root.glob("quarantine/*.bad")
     )
@@ -162,159 +137,12 @@ def fsck_broker(
     :func:`~repro.service.dist.broker.broker_directory`, the rule
     :func:`~repro.service.dist.broker.connect_broker` uses.
     """
-    from repro.service.dist.broker import broker_directory, encode_result
-    from repro.service.dist.fsbroker import _parse_entry_name
-    from repro.service.journal import frame_bytes
+    from repro.service.dist.broker import broker_directory
+    from repro.service.dist.fsbroker import scan_directory
 
-    root = broker_directory(broker)
-    report: Dict[str, Any] = {
-        "root": str(root),
-        "present": (root / "queue").is_dir(),
-        "scanned": 0,
-        "ok": 0,
-        "quarantined": [],
-        "orphaned_leases_removed": [],
-        "expired_affinities_removed": [],
-        "tmp_removed": [],
-    }
-    if not report["present"]:
-        return report
-
-    def quarantine_entry(path: Path, reason: str) -> None:
-        rel = str(path.relative_to(root))
-        if repair:
-            target = root / "quarantine" / path.name
-            try:
-                os.replace(path, target)
-            except OSError:
-                return
-            try:
-                (root / "quarantine" / f"{path.name}.reason").write_bytes(
-                    reason.encode("utf-8")
-                )
-            except OSError:
-                pass
-            meta = _parse_entry_name(path.name)
-            if meta is not None:
-                # Fail any executor still waiting on this task.
-                result = root / "results" / f"{meta.task_id}.res"
-                if not result.exists():
-                    try:
-                        result.write_bytes(
-                            frame_bytes(
-                                encode_result(
-                                    error=f"task quarantined by fsck: {reason}"
-                                )
-                            )
-                        )
-                    except OSError:
-                        pass
-        report["quarantined"].append({"path": rel, "error": reason})
-
-    live_tasks = set()
-    for sub in ("queue", "claimed"):
-        for path in sorted((root / sub).glob("*")):
-            if not path.is_file() or path.name.endswith(".tmp"):
-                continue
-            meta = _parse_entry_name(path.name)
-            if meta is None:
-                report["scanned"] += 1
-                quarantine_entry(path, "unparsable entry name")
-                continue
-            report["scanned"] += 1
-            try:
-                payload = unframe_bytes(path.read_bytes())
-            except IntegrityError as exc:
-                quarantine_entry(path, f"payload checksum failed: {exc}")
-                continue
-            except OSError:
-                continue  # claimed/ can race a live worker; skip
-            try:
-                pickle.loads(payload)
-            except Exception as exc:  # noqa: BLE001 - any decode failure
-                quarantine_entry(path, f"payload does not decode: {exc}")
-                continue
-            live_tasks.add(meta.task_id)
-            report["ok"] += 1
-
-    for path in sorted((root / "results").glob("*.res")):
-        report["scanned"] += 1
-        try:
-            unframe_bytes(path.read_bytes())
-        except IntegrityError as exc:
-            rel = str(path.relative_to(root))
-            if repair:
-                task_id = path.name[: -len(".res")]
-                try:
-                    os.replace(path, root / "quarantine" / f"{path.name}.bad")
-                except OSError:
-                    pass
-                try:
-                    path.write_bytes(
-                        frame_bytes(
-                            encode_result(
-                                error=(
-                                    f"result for task {task_id} failed its "
-                                    f"checksum: {exc}"
-                                )
-                            )
-                        )
-                    )
-                except OSError:
-                    pass
-            report["quarantined"].append(
-                {"path": rel, "error": f"result checksum failed: {exc}"}
-            )
-            continue
-        except OSError:
-            continue
-        report["ok"] += 1
-        live_tasks.add(path.name[: -len(".res")])
-
-    for path in sorted((root / "leases").glob("*.json")):
-        task_id = path.name[: -len(".json")]
-        try:
-            record = json.loads(path.read_text("utf-8"))
-        except (OSError, ValueError):
-            record = None
-        if record is not None and task_id in live_tasks:
-            continue
-        rel = str(path.relative_to(root))
-        if repair:
-            try:
-                path.unlink()
-            except OSError:
-                continue
-        report["orphaned_leases_removed"].append(rel)
-
-    now = time.time()
-    for path in sorted((root / "affinity").glob("*.json")):
-        try:
-            record = json.loads(path.read_text("utf-8"))
-        except (OSError, ValueError):
-            record = {}
-        if isinstance(record, dict) and record.get("deadline", 0.0) > now:
-            continue
-        rel = str(path.relative_to(root))
-        if repair:
-            try:
-                path.unlink()
-            except OSError:
-                continue
-        report["expired_affinities_removed"].append(rel)
-
-    tidy = sweep_stale_tmp if repair else stale_tmp_files
-    report["tmp_removed"] = tidy(
-        root / "tmp", max_age=tmp_max_age, patterns=("*.tmp",)
+    return scan_directory(
+        broker_directory(broker), repair=repair, tmp_max_age=tmp_max_age
     )
-    report["repaired"] = (
-        len(report["quarantined"])
-        + len(report["orphaned_leases_removed"])
-        + len(report["expired_affinities_removed"])
-        if repair
-        else 0
-    )
-    return report
 
 
 def fsck_report(
@@ -328,20 +156,16 @@ def fsck_report(
         raise ReproError("fsck needs --cache-dir and/or --broker to scan")
     report: Dict[str, Any] = {"schema": FSCK_SCHEMA, "repair": repair}
     totals = {"scanned": 0, "quarantined": 0, "repaired": 0, "tmp_removed": 0}
-    if cache_dir is not None:
-        store = fsck_store(cache_dir, repair=repair)
-        report["store"] = store
-        totals["scanned"] += store["scanned"]
-        totals["quarantined"] += len(store["quarantined"])
-        totals["repaired"] += store.get("repaired", 0)
-        totals["tmp_removed"] += len(store["tmp_removed"])
-    if broker is not None:
-        broker_report = fsck_broker(broker, repair=repair)
-        report["broker"] = broker_report
-        totals["scanned"] += broker_report["scanned"]
-        totals["quarantined"] += len(broker_report["quarantined"])
-        totals["repaired"] += broker_report.get("repaired", 0)
-        totals["tmp_removed"] += len(broker_report["tmp_removed"])
+    for section, target, scan in (
+        ("store", cache_dir, fsck_store), ("broker", broker, fsck_broker)
+    ):
+        if target is None:
+            continue
+        part = report[section] = scan(target, repair=repair)
+        totals["scanned"] += part["scanned"]
+        totals["quarantined"] += len(part["quarantined"])
+        totals["repaired"] += part.get("repaired", 0)
+        totals["tmp_removed"] += len(part["tmp_removed"])
     report["totals"] = totals
     return report
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.trace import as_tracer
 from repro.service.dist.broker import connect_broker
+from repro.service.dist.worker import spawn_worker_process
 from repro.service.resilience import RetryPolicy
 
 #: Default backoff between a slot's death and its respawn.
@@ -65,33 +66,6 @@ class _Slot:
             "last_exitcode": self.last_exitcode,
             "quarantined": self.quarantined,
         }
-
-
-def _fleet_worker_main(
-    broker_url: str,
-    cache_dir: "str | None",
-    lease: float,
-    poll_interval: float,
-    trace: "str | None",
-    trace_rotate_mb: "float | None",
-    chaos=None,
-) -> None:
-    """Entry point of one supervised worker process."""
-    from repro.service.dist.worker import worker_loop
-
-    broker = connect_broker(broker_url)
-    if chaos is not None and chaos.any_faults():
-        from repro.service.dist.chaos import ChaosBroker
-
-        broker = ChaosBroker(broker, chaos)
-    try:
-        worker_loop(
-            broker, cache_dir=cache_dir, lease=lease,
-            poll_interval=poll_interval, trace=trace,
-            trace_rotate_mb=trace_rotate_mb,
-        )
-    finally:
-        broker.close()
 
 
 class FleetSupervisor:
@@ -183,26 +157,13 @@ class FleetSupervisor:
             self._tracer.emit(event, **fields)
 
     def _spawn(self, slot: _Slot) -> None:
-        import multiprocessing
-
-        context_name = self._mp_context
-        if context_name is None:
-            methods = multiprocessing.get_all_start_methods()
-            context_name = "fork" if "fork" in methods else "spawn"
-        context = multiprocessing.get_context(context_name)
         trace = self.trace if not hasattr(self.trace, "emit") else None
-        process = context.Process(
-            target=_fleet_worker_main,
-            args=(
-                self.broker_url, self.cache_dir, self.lease,
-                self.poll_interval,
-                str(trace) if trace is not None else None,
-                self.trace_rotate_mb, self.chaos,
-            ),
-            daemon=True,
+        slot.process = spawn_worker_process(
+            self.broker_url, cache_dir=self.cache_dir, lease=self.lease,
+            poll_interval=self.poll_interval, mp_context=self._mp_context,
+            trace=str(trace) if trace is not None else None,
+            trace_rotate_mb=self.trace_rotate_mb, chaos=self.chaos,
         )
-        process.start()
-        slot.process = process
 
     def _note_death(self, slot: _Slot, now: float, draining: bool) -> None:
         """Handle one dead slot process: restart, or quarantine."""

@@ -142,6 +142,49 @@ class TestLeaseExpiry:
         assert broker.requeue_expired() == 1
         assert broker.heartbeat(claim, lease=30.0) is False
 
+    def test_stale_quarantine_leaves_a_requeued_task_alone(self, broker):
+        # A worker whose lease expired may still try to park the task;
+        # by then another worker holds it, so the park must do nothing.
+        task = _task()
+        broker.put(task)
+        stale = broker.claim("w1", lease=0.05)
+        time.sleep(0.1)
+        assert broker.requeue_expired() == 1
+        fresh = broker.claim("w2", lease=60.0)
+        broker.quarantine(stale, "poison")
+        assert broker.get_result(task.task_id) is None
+        assert broker.heartbeat(fresh, lease=60.0) is True
+        assert broker.complete(fresh, encode_result(value=1)) is True
+
+    @pytest.mark.parametrize("first_lease", [30.0, 0.01], ids=["live", "expired"])
+    def test_same_worker_id_never_takes_a_live_lease(self, tmp_path, first_lease):
+        # Two processes started with one --worker-id race for one task:
+        # B takes the lease, A claims before B's rename.  A live lease
+        # is never taken over (A gets nothing and B's claim holds); an
+        # expired one is (B's rename then loses, and its cleanup must
+        # not delete the lease A wrote).
+        a = FilesystemBroker(tmp_path / "queue")
+        b = FilesystemBroker(tmp_path / "queue")
+        a.put(_task())
+        seen = []
+        take = b._try_take_lease
+
+        def take_then_race(*args):
+            taken = take(*args)
+            time.sleep(0.05)
+            seen.append(a.claim("w", lease=30.0))
+            return taken
+
+        b._try_take_lease = take_then_race
+        claims = [claim for claim in [b.claim("w", lease=first_lease), *seen]
+                  if claim is not None]
+        assert len(claims) == 1
+        (winner,) = claims
+        owner = a if seen[0] is not None else b
+        assert owner.heartbeat(winner, lease=30.0) is True
+        assert owner.complete(winner, encode_result(value=1)) is True
+        assert a.stats()["claimed"] == 0
+
     def test_exhausted_attempts_quarantine_with_error_result(self, broker):
         task = _task()
         broker.put(task)
@@ -331,6 +374,18 @@ class TestCorruptEntries:
         assert stats.completed == 1  # the loop survived and ran the good task
         assert broker.stats()["quarantined"] == 1
         assert decode_result(broker.get_result(good.task_id))["ok"]
+
+    @pytest.mark.parametrize(
+        "record", ["[]", "7", '"w"', "{torn", '{"worker": "w0", "deadline": "soon"}'])
+    def test_unreadable_affinity_file_is_taken_over(self, broker, record):
+        # Anything but a JSON object with a numeric deadline is an
+        # unreadable ownership record: the claim takes the key over
+        # instead of failing on it.
+        task = _task(affinity="log")
+        (broker.root / "affinity" / "log.json").write_text(record)
+        broker.put(task)
+        claim = broker.claim("w", lease=30.0)
+        assert claim is not None and claim.envelope.task_id == task.task_id
 
     def test_foreign_file_in_fs_queue_is_parked(self, tmp_path):
         broker = FilesystemBroker(tmp_path / "queue")

@@ -139,7 +139,7 @@ class TestDiskStore:
         cache = ArtifactCache()
         run_job(job_for(3, "loan:10"), cache)
         run_job(job_for(5, "loan:10"), cache)
-        (bundle,) = cache._artifacts.values()
+        (bundle,) = cache._artifacts.entries.values()
         compiled = bundle.compiled.nbytes
         index = bundle.instance_index.nbytes
         snap = cache.snapshot()
@@ -258,23 +258,31 @@ class TestSelectionDiskStore:
         assert len(list(store.glob("selection/*/*.json"))) == 2
         assert cache.stats.disk.evictions == 3
 
-    def test_under_budget_puts_skip_the_enforcement_sweep(self, tmp_path):
-        # Decomposed runs store many tiny proved cells; while clearly
-        # under budget only the estimate-seeding sweep may glob+stat.
+    @pytest.mark.parametrize("tier", ["selection", "results"])
+    def test_under_budget_puts_skip_the_enforcement_sweep(self, tmp_path, tier):
+        # Decomposed runs store many tiny proved cells, and sweeps store
+        # many results; while clearly under budget only the
+        # estimate-seeding sweep may glob+stat.
         store = tmp_path / "store"
         cache = ArtifactCache(disk_dir=store, disk_max_entries=1000)
         sweeps = 0
-        original = cache._disk_entries
+        original = cache._enforce_disk_budget
 
-        def counting(tier=None):
+        def counting(swept):
             nonlocal sweeps
             sweeps += 1
-            yield from original(tier)
+            original(swept)
 
-        cache._disk_entries = counting
+        cache._enforce_disk_budget = counting
+        if tier == "selection":
+            put, value = cache.put_selection, self._solution()
+            entries = "selection/*/*.json"
+        else:
+            put, value = cache.put_result, run_job(job_for(5), ArtifactCache())[0]
+            entries = "*/*.json"
         for index in range(50):
-            cache.put_selection(f"k{index:03d}", self._solution(float(index)))
-        assert len(list(store.glob("selection/*/*.json"))) == 50
+            put(f"k{index:03d}", value)
+        assert len(list(store.glob(entries))) == 50
         assert sweeps == 1
 
     def test_clear_disk_drops_selection_entries(self, tmp_path):
@@ -338,7 +346,7 @@ class TestDiskBudgets:
         for position, job in enumerate(jobs):
             run_job(job, cache)
             # Strictly order the entries' recency clocks.
-            path = cache._disk_path(job.fingerprint().full)
+            path = cache._path(cache._results, job.fingerprint().full)
             if path.exists():
                 stamp = time.time() - (100 - position)
                 os.utime(path, (stamp, stamp))
